@@ -1,8 +1,18 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Supports exactly the operations the prediction network needs: dense
-matmul, elementwise arithmetic, sigmoid/tanh/relu, softmax and
-log-softmax, concatenation, max reductions, and scalar reductions.
+The prediction network works on stacked rows: node features are one
+(N, D) array, edge features one (E, D) array, and index arrays say which
+rows belong together (the source and target node of each edge, the node of
+each point).  Every operation acts on the last axis, so the same call takes
+a single (D,) vector or a stack of rows:
+
+- ``linear``: a weight matrix applied to every row;
+- elementwise arithmetic with numpy broadcasting, sigmoid/tanh/relu/log;
+- ``softmax``, ``log_softmax`` and ``concat`` over the last axis;
+- ``gather``: rows (or single entries) picked by index;
+- ``segment_max``: the componentwise max of the rows of each segment;
+- ``mean_all``: the mean of every entry, as a scalar.
+
 Graphs are built eagerly and freed after backward().
 """
 
@@ -100,9 +110,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, as_tensor(other))
 
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -147,31 +154,25 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.value, b.value
-    out = Tensor(av @ bv, parents=(a, b))
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """``w`` (M, K) applied to the last axis of ``x`` (..., K), giving
+    (..., M); a (K,) weight acts as a single output row, giving (..., 1).
+
+    Each row is multiplied on its own (a stacked product of (1, K) rows),
+    so a row's result does not depend on its position or on how many rows
+    there are.  One matrix product over all rows would not guarantee that:
+    BLAS blocks the rows, and edge blocks sum in another order.
+    """
+    xv = x.value
+    wv = np.atleast_2d(w.value)
+    out = Tensor(np.matmul(xv[..., None, :], wv.T)[..., 0, :], parents=(x, w))
 
     def backward(grad):
-        if a.requires_grad:
-            if av.ndim == 2 and bv.ndim == 1:
-                ga = np.outer(grad, bv)
-            elif av.ndim == 1 and bv.ndim == 1:
-                ga = grad * bv
-            elif av.ndim == 1 and bv.ndim == 2:
-                ga = grad @ bv.T
-            else:
-                ga = grad @ bv.T
-            a._accumulate(ga)
-        if b.requires_grad:
-            if av.ndim == 2 and bv.ndim == 1:
-                gb = av.T @ grad
-            elif av.ndim == 1 and bv.ndim == 1:
-                gb = grad * av
-            elif av.ndim == 1 and bv.ndim == 2:
-                gb = np.outer(av, grad)
-            else:
-                gb = av.T @ grad
-            b._accumulate(gb)
+        if x.requires_grad:
+            x._accumulate(grad @ wv)
+        if w.requires_grad:
+            gw = grad.reshape(-1, wv.shape[0]).T @ xv.reshape(-1, wv.shape[1])
+            w._accumulate(gw.reshape(w.value.shape))
 
     out._backward = backward
     return out
@@ -209,77 +210,67 @@ def relu(a: Tensor) -> Tensor:
     return _unary(a, a.value * mask, lambda g: g * mask)
 
 
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.value)
-    return _unary(a, e, lambda g: g * e)
-
-
 def log(a: Tensor) -> Tensor:
     return _unary(a, np.log(a.value), lambda g: g / a.value)
 
 
 def softmax(a: Tensor) -> Tensor:
-    shifted = a.value - a.value.max()
-    e = np.exp(shifted)
-    s = e / e.sum()
-    return _unary(a, s, lambda g: s * (g - np.dot(g, s)))
+    """Softmax over the last axis."""
+    e = np.exp(a.value - a.value.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    return _unary(a, s, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.value - a.value.max()
-    ls = shifted - np.log(np.exp(shifted).sum())
-    p = np.exp(ls)
-    return _unary(a, ls, lambda g: g - p * g.sum())
+    """Log-softmax over the last axis."""
+    shifted = a.value - a.value.max(axis=-1, keepdims=True)
+    ls = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return _unary(a, ls, lambda g: g - np.exp(ls) * g.sum(axis=-1, keepdims=True))
 
 
 def concat(parts: list[Tensor]) -> Tensor:
-    sizes = [p.value.shape[0] for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts]), parents=tuple(parts))
+    """Concatenation over the last axis."""
+    splits = np.cumsum([p.value.shape[-1] for p in parts])[:-1]
+    out = Tensor(np.concatenate([p.value for p in parts], axis=-1), parents=tuple(parts))
 
     def backward(grad):
-        offset = 0
-        for p, size in zip(parts, sizes):
+        for p, g in zip(parts, np.split(grad, splits, axis=-1)):
             if p.requires_grad:
-                p._accumulate(grad[offset : offset + size])
-            offset += size
+                p._accumulate(g)
 
     out._backward = backward
     return out
 
 
-def stack_max(parts: list[Tensor]) -> Tensor:
-    """Componentwise max over equally shaped vectors; gradient flows to the
-    first argmax on ties."""
-    stacked = np.stack([p.value for p in parts])
-    arg = stacked.argmax(axis=0)
-    out = Tensor(stacked.max(axis=0), parents=tuple(parts))
+def segment_max(a: Tensor, segment: np.ndarray, num_segments: int) -> Tensor:
+    """Componentwise max of the rows of ``a`` (R, D) in each segment.
+
+    Row ``r`` belongs to segment ``segment[r]``; the result is
+    (num_segments, D), with zero rows for segments that have no rows.  On
+    ties the gradient goes to the first such row in row order.
+    """
+    order = np.argsort(segment, kind="stable")
+    rows = a.value[order]
+    counts = np.bincount(segment, minlength=num_segments)
+    filled = counts > 0
+    starts = (np.cumsum(counts) - counts)[filled]
+    value = np.zeros((num_segments,) + a.value.shape[1:])
+    if len(rows):
+        value[filled] = np.maximum.reduceat(rows, starts, axis=0)
+    out = Tensor(value, parents=(a,))
 
     def backward(grad):
-        for idx, p in enumerate(parts):
-            if p.requires_grad:
-                p._accumulate(grad * (arg == idx))
-
-    out._backward = backward
-    return out
-
-
-def max_axis0(a: Tensor) -> Tensor:
-    """Row-wise max of a (N, D) tensor down to (D,)."""
-    arg = a.value.argmax(axis=0)
-    out = Tensor(a.value.max(axis=0), parents=(a,))
-
-    def backward(grad):
-        if a.requires_grad:
+        if a.requires_grad and len(rows):
+            # rows == max, except that a NaN max (x < NaN is False) hits every row
+            hit = ~(rows < value[segment[order]])
+            position = np.where(hit, np.arange(len(rows))[:, None], len(rows))
+            first = order[np.minimum.reduceat(position, starts, axis=0)]
             ga = np.zeros_like(a.value)
-            ga[arg, np.arange(a.value.shape[1])] = grad
+            ga[first, np.arange(a.value.shape[1])] = grad[filled]
             a._accumulate(ga)
 
     out._backward = backward
     return out
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return _unary(a, a.value.sum(), lambda g: np.full_like(a.value, g))
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -287,13 +278,16 @@ def mean_all(a: Tensor) -> Tensor:
     return _unary(a, a.value.mean(), lambda g: np.full_like(a.value, g / n))
 
 
-def gather(a: Tensor, index: int) -> Tensor:
+def gather(a: Tensor, index) -> Tensor:
+    """``a[index]`` under numpy indexing: an int or an index array picks
+    rows, a tuple of index arrays picks single entries.  Gradients of
+    repeated indices add up."""
     out = Tensor(a.value[index], parents=(a,))
 
     def backward(grad):
         if a.requires_grad:
             ga = np.zeros_like(a.value)
-            ga[index] = grad
+            np.add.at(ga, index, grad)
             a._accumulate(ga)
 
     out._backward = backward

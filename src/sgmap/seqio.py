@@ -137,14 +137,31 @@ def write_points(path, ids: np.ndarray, positions: np.ndarray) -> None:
 
 
 def read_points(path) -> tuple[np.ndarray, np.ndarray]:
+    """Point ids (int64, parsed as integers) and (N, 3) positions.
+
+    Every non-blank line must hold exactly ``id x y z``.  The common case
+    is parsed in one pass: each newline becomes a ``;`` token, so a file
+    whose lines all have four fields has ``;`` at every fifth token and
+    nowhere else (a stray ``;`` fails to parse as a number).  Anything else
+    is read line by line, which raises with the offending line.
+    """
     text = Path(path).read_text()
-    tokens = text.split()
-    if len(tokens) % 4 == 0:
+    tokens = text.replace("\n", " ; ").split()
+    if tokens and tokens[-1] != ";":
+        tokens.append(";")
+    if len(tokens) % 5 == 0 and tokens[4::5].count(";") == len(tokens) // 5:
         try:
-            values = np.array(tokens, dtype=np.float64).reshape(-1, 4)
-            return values[:, 0].astype(np.int64), values[:, 1:]
-        except ValueError:
-            pass  # fall through to the line-accurate error path
+            ids = np.array(tokens[0::5], dtype=np.int64)
+            positions = np.array([tokens[1::5], tokens[2::5], tokens[3::5]], dtype=np.float64)
+            return ids, np.ascontiguousarray(positions.T)
+        except (ValueError, OverflowError):
+            pass  # fall through to the line-accurate path
+    return _read_points_by_line(path, text)
+
+
+def _read_points_by_line(path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    ids: list[np.int64] = []
+    positions: list[list[float]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
@@ -154,11 +171,11 @@ def read_points(path) -> tuple[np.ndarray, np.ndarray]:
                 f"{path}:{lineno}: expected 'id x y z', got {len(parts)} fields"
             )
         try:
-            int(parts[0])
-            [float(v) for v in parts[1:]]
-        except ValueError as exc:
+            ids.append(np.int64(parts[0]))
+            positions.append([float(v) for v in parts[1:]])
+        except (ValueError, OverflowError) as exc:
             raise SequenceFormatError(f"{path}:{lineno}: {exc}") from exc
-    raise SequenceFormatError(f"{path}: malformed points file")
+    return np.array(ids, dtype=np.int64), np.array(positions, dtype=np.float64).reshape(-1, 3)
 
 
 def write_features(path, table: dict[int, np.ndarray]) -> None:

@@ -6,6 +6,15 @@ relative box geometry.  Both are refined by gated message-passing layers
 with feature-wise attention and shared GRU cells, then classified by
 softmax (or per-predicate sigmoid) heads.
 
+The network runs on whole matrices, one row per node or edge: node
+features are (N, D), edge features (E, D), and the edges are the index
+arrays ``src`` and ``dst`` (E,) into the node rows.  The point encoder
+runs on the (P, 3) points of all nodes at once, with ``point_node`` (P,)
+naming each point's node.  Messages gather endpoint rows by ``src`` and
+``dst``; a node's context is the segment max of the attention outputs of
+its outgoing edges.  Every block acts on the last axis, so it also takes
+a single (D,) vector.
+
 Everything runs on the in-package reverse-mode engine so the full loss is
 differentiable for gradient checks and small-scale training.
 """
@@ -243,25 +252,7 @@ class PatchImageFeatureProvider:
         return self.weights["image_proj.weight"].value @ self.patch_vector(mask, label)
 
 
-class PrecomputedFeatureProvider:
-    """Per-(keyframe, entity) vectors supplied by sequence files."""
-
-    def __init__(self, table: dict[tuple[int, int], np.ndarray]):
-        self.table = {k: np.asarray(v, dtype=np.float64) for k, v in table.items()}
-
-    def feature(self, frame_id: int, label: int) -> np.ndarray | None:
-        return self.table.get((frame_id, label))
-
-
 # -- multi-view aggregation --------------------------------------------
-
-
-def multiview_feature(views: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of per-view feature vectors."""
-    views = np.asarray(views, dtype=np.float64)
-    if views.ndim != 2 or len(views) == 0:
-        raise NoObservations("multi-view feature needs at least one view")
-    return views.mean(axis=0)
 
 
 class MultiviewAccumulator:
@@ -359,47 +350,30 @@ def edge_geometry_vector(obb_i: Obb, obb_j: Obb, descriptor: np.ndarray) -> np.n
 
 def _mlp2(x: Tensor, weights: NetworkWeights, prefix: str) -> Tensor:
     hidden = ad.relu(
-        ad.matmul(weights[f"{prefix}.0.weight"], x) + weights[f"{prefix}.0.bias"]
+        ad.linear(x, weights[f"{prefix}.0.weight"]) + weights[f"{prefix}.0.bias"]
     )
-    return ad.matmul(weights[f"{prefix}.1.weight"], hidden) + weights[f"{prefix}.1.bias"]
+    return ad.linear(hidden, weights[f"{prefix}.1.weight"]) + weights[f"{prefix}.1.bias"]
 
 
-def point_encoder(points_normalized: np.ndarray, weights: NetworkWeights) -> Tensor:
-    """Shared per-point MLP followed by a componentwise max pool."""
-    pts = np.asarray(points_normalized, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        raise EmptyPointSet("point encoder needs at least one point")
-    x = Tensor(pts)
-    h = ad.relu(_per_point_linear(x, weights, "point_enc.0"))
-    out = _per_point_linear(h, weights, "point_enc.1")
-    return ad.max_axis0(out)
-
-
-def _per_point_linear(x: Tensor, weights: NetworkWeights, prefix: str) -> Tensor:
-    w = weights[f"{prefix}.weight"]
-    b = weights[f"{prefix}.bias"]
-    wt = _transpose(w)
-    return ad.matmul(x, wt) + b
-
-
-def _transpose(t: Tensor) -> Tensor:
-    out = Tensor(t.value.T, parents=(t,))
-
-    def backward(grad):
-        if t.requires_grad:
-            t._accumulate(grad.T)
-
-    out._backward = backward
-    return out
+def point_encoder(
+    points: np.ndarray, point_node: np.ndarray, num_nodes: int, weights: NetworkWeights
+) -> Tensor:
+    """Shared per-point MLP over the (P, 3) points of all nodes, then a
+    componentwise max over each node's points, giving (num_nodes, geo_dim).
+    ``point_node`` (P,) names the node of each point."""
+    if np.any(np.bincount(point_node, minlength=num_nodes) == 0):
+        raise EmptyPointSet("point encoder needs at least one point per node")
+    per_point = _mlp2(Tensor(points), weights, "point_enc")
+    return ad.segment_max(per_point, point_node, num_nodes)
 
 
 def gated_fuse(v: Tensor, g: Tensor, gate_weight: Tensor) -> Tensor:
     """Add the sigmoided geometric feature, scaled by a learned scalar gate."""
-    if gate_weight.value.shape != (v.value.shape[0] + g.value.shape[0],):
+    if gate_weight.value.shape != (v.value.shape[-1] + g.value.shape[-1],):
         raise ShapeError(
             f"gate weight length {gate_weight.value.shape} does not match inputs"
         )
-    gate = ad.sigmoid(ad.matmul(gate_weight, ad.concat([v, g])))
+    gate = ad.sigmoid(ad.linear(ad.concat([v, g]), gate_weight))
     return v + gate * ad.sigmoid(g)
 
 
@@ -409,39 +383,27 @@ def fan_attention(
     """Feature-wise attention: softmax over feature components of an MLP on
     [query, key], multiplied into the transformed neighbour feature."""
     att = ad.softmax(_mlp2(ad.concat([query, key]), weights, "fan.att"))
-    return att * ad.matmul(weights["fan.value.weight"], value_vec)
+    return att * ad.linear(value_vec, weights["fan.value.weight"])
 
 
 def message_layer(
-    vplus: list[Tensor],
-    edge_feats: dict[tuple[int, int], Tensor],
-    edges: list[tuple[int, int]],
+    vplus: Tensor,
+    edge_feats: Tensor,
+    src: np.ndarray,
+    dst: np.ndarray,
     weights: NetworkWeights,
-) -> tuple[list[Tensor], dict[tuple[int, int], Tensor]]:
-    """Node and edge messages for one pass.
+) -> tuple[Tensor, Tensor]:
+    """Node (N, D) and edge (E, D) messages for one pass.
 
     Node context is the componentwise max of attention outputs over the
     node's outgoing edges; isolated nodes use a zero context vector.
     """
-    dn = weights.config.node_dim
-    fan_out: dict[int, list[Tensor]] = {i: [] for i in range(len(vplus))}
-    for (i, j) in edges:
-        fan_out[i].append(fan_attention(vplus[i], edge_feats[(i, j)], vplus[j], weights))
-
-    node_msgs: list[Tensor] = []
-    for i, v in enumerate(vplus):
-        if fan_out[i]:
-            ctx = fan_out[i][0] if len(fan_out[i]) == 1 else ad.stack_max(fan_out[i])
-        else:
-            ctx = Tensor(np.zeros(dn))
-        node_msgs.append(_mlp2(ad.concat([v, ctx]), weights, "node_msg"))
-
-    edge_msgs = {
-        (i, j): _mlp2(
-            ad.concat([vplus[i], edge_feats[(i, j)], vplus[j]]), weights, "edge_msg"
-        )
-        for (i, j) in edges
-    }
+    v_src = ad.gather(vplus, src)
+    v_dst = ad.gather(vplus, dst)
+    fan = fan_attention(v_src, edge_feats, v_dst, weights)
+    context = ad.segment_max(fan, src, len(vplus.value))
+    node_msgs = _mlp2(ad.concat([vplus, context]), weights, "node_msg")
+    edge_msgs = _mlp2(ad.concat([v_src, edge_feats, v_dst]), weights, "edge_msg")
     return node_msgs, edge_msgs
 
 
@@ -452,18 +414,17 @@ def gru_update(h: Tensor, x: Tensor, weights: NetworkWeights, cell: str) -> Tens
         raise ShapeError("GRU feature and message dims differ")
     w = weights
     r = ad.sigmoid(
-        ad.matmul(w[f"{cell}.w_r"], x) + ad.matmul(w[f"{cell}.u_r"], h) + w[f"{cell}.b_r"]
+        ad.linear(x, w[f"{cell}.w_r"]) + ad.linear(h, w[f"{cell}.u_r"]) + w[f"{cell}.b_r"]
     )
     z = ad.sigmoid(
-        ad.matmul(w[f"{cell}.w_z"], x) + ad.matmul(w[f"{cell}.u_z"], h) + w[f"{cell}.b_z"]
+        ad.linear(x, w[f"{cell}.w_z"]) + ad.linear(h, w[f"{cell}.u_z"]) + w[f"{cell}.b_z"]
     )
     n = ad.tanh(
-        ad.matmul(w[f"{cell}.w_n"], x)
-        + r * ad.matmul(w[f"{cell}.u_n"], h)
+        ad.linear(x, w[f"{cell}.w_n"])
+        + r * ad.linear(h, w[f"{cell}.u_n"])
         + w[f"{cell}.b_n"]
     )
-    one = Tensor(np.ones_like(z.value))
-    return (one - z) * n + z * h
+    return (1.0 - z) * n + z * h
 
 
 # -- forward pass -------------------------------------------------------
@@ -472,7 +433,12 @@ def gru_update(h: Tensor, x: Tensor, weights: NetworkWeights, cell: str) -> Tens
 @dataclass
 class GraphInputs:
     """One prediction snapshot: per-node features (either projected vectors
-    or raw patches), normalized point sets, and directed edge geometry."""
+    or raw patches), normalized point sets, and directed edge geometry.
+
+    Construction also stacks them for the network: ``points`` (P, 3) holds
+    every node's points in node order and ``point_node`` (P,) the node of
+    each; ``src`` and ``dst`` (E,) are the endpoints of ``edges``.
+    """
 
     node_labels: tuple[int, ...]
     node_points: list[np.ndarray]
@@ -480,6 +446,10 @@ class GraphInputs:
     edge_geometry: np.ndarray
     node_features: np.ndarray | None = None
     node_patches: np.ndarray | None = None
+    points: np.ndarray = field(init=False, repr=False)
+    point_node: np.ndarray = field(init=False, repr=False)
+    src: np.ndarray = field(init=False, repr=False)
+    dst: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.node_labels)
@@ -490,6 +460,11 @@ class GraphInputs:
         self.edge_geometry = np.asarray(self.edge_geometry, dtype=np.float64).reshape(
             len(self.edges), EDGE_GEOMETRY_DIM
         )
+        point_sets = [np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in self.node_points]
+        self.points = np.concatenate([np.empty((0, 3)), *point_sets])
+        self.point_node = np.repeat(np.arange(n), [len(p) for p in point_sets])
+        ends = np.asarray(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
+        self.src, self.dst = ends[:, 0], ends[:, 1]
 
 
 @dataclass
@@ -506,8 +481,8 @@ class Prediction:
 @dataclass
 class ForwardResult:
     prediction: Prediction
-    node_logits: list[Tensor]
-    edge_logits: list[Tensor]
+    node_logits: Tensor
+    edge_logits: Tensor
 
 
 def forward(
@@ -520,56 +495,34 @@ def forward(
     cfg = weights.config
     layers = cfg.layers if layers is None else layers
     mode = cfg.mode if mode is None else mode
+    n = len(inputs.node_labels)
 
     if inputs.node_patches is not None:
-        feats = [
-            ad.matmul(weights["image_proj.weight"], Tensor(patch))
-            for patch in np.asarray(inputs.node_patches, dtype=np.float64)
-        ]
+        v = ad.linear(Tensor(inputs.node_patches), weights["image_proj.weight"])
     else:
-        feats = [Tensor(f) for f in np.asarray(inputs.node_features, dtype=np.float64)]
-    geo = [point_encoder(pts, weights) for pts in inputs.node_points]
-    edge_feats = {
-        key: _mlp2(Tensor(geom), weights, "edge_mlp")
-        for key, geom in zip(inputs.edges, inputs.edge_geometry)
-    }
+        v = Tensor(inputs.node_features)
+    geo = point_encoder(inputs.points, inputs.point_node, n, weights)
+    e = _mlp2(Tensor(inputs.edge_geometry), weights, "edge_mlp")
 
-    v = feats
     for _ in range(layers):
-        vplus = [gated_fuse(v[i], geo[i], weights["gate.weight"]) for i in range(len(v))]
-        node_msgs, edge_msgs = message_layer(vplus, edge_feats, inputs.edges, weights)
-        v = [
-            gru_update(vplus[i], node_msgs[i], weights, "node_gru")
-            for i in range(len(vplus))
-        ]
-        edge_feats = {
-            key: gru_update(edge_feats[key], edge_msgs[key], weights, "edge_gru")
-            for key in edge_feats
-        }
+        vplus = gated_fuse(v, geo, weights["gate.weight"])
+        node_msgs, edge_msgs = message_layer(vplus, e, inputs.src, inputs.dst, weights)
+        v = gru_update(vplus, node_msgs, weights, "node_gru")
+        e = gru_update(e, edge_msgs, weights, "edge_gru")
 
-    node_logits = [
-        ad.matmul(weights["node_head.weight"], vi) + weights["node_head.bias"] for vi in v
-    ]
-    edge_logits = [
-        ad.matmul(weights["edge_head.weight"], edge_feats[key]) + weights["edge_head.bias"]
-        for key in inputs.edges
-    ]
+    node_logits = ad.linear(v, weights["node_head.weight"]) + weights["node_head.bias"]
+    edge_logits = ad.linear(e, weights["edge_head.weight"]) + weights["edge_head.bias"]
 
     if mode == SINGLE:
-        edge_probs = [ad.softmax(t).value for t in edge_logits]
+        edge_probs = ad.softmax(edge_logits).value
     else:
-        edge_probs = [ad.stable_sigmoid(t.value) for t in edge_logits]
-    node_probs = [ad.softmax(t).value for t in node_logits]
-
-    n_classes = cfg.num_node_classes
-    e_classes = cfg.num_edge_classes
+        edge_probs = ad.stable_sigmoid(edge_logits.value)
+    labels = np.asarray(inputs.node_labels)
     prediction = Prediction(
         node_labels=tuple(inputs.node_labels),
-        edge_keys=tuple(
-            (inputs.node_labels[i], inputs.node_labels[j]) for (i, j) in inputs.edges
-        ),
-        node_probs=np.array(node_probs).reshape(len(v), n_classes),
-        edge_probs=np.array(edge_probs).reshape(len(inputs.edges), e_classes),
+        edge_keys=tuple(zip(labels[inputs.src].tolist(), labels[inputs.dst].tolist())),
+        node_probs=ad.softmax(node_logits).value.reshape(n, cfg.num_node_classes),
+        edge_probs=edge_probs.reshape(len(inputs.edges), cfg.num_edge_classes),
         mode=mode,
     )
     return ForwardResult(prediction=prediction, node_logits=node_logits, edge_logits=edge_logits)
@@ -635,48 +588,21 @@ def network_loss(
     """Differentiable loss over one graph (same value as :func:`loss`)."""
     mode = weights.config.mode if mode is None else mode
     result = forward(inputs, weights, layers=layers, mode=mode)
-    terms: list[Tensor] = []
 
     node_classes = np.asarray(targets.node_classes, dtype=np.int64)
-    if len(result.node_logits):
-        node_ce = [
-            -ad.gather(ad.log_softmax(logits), int(cls))
-            for logits, cls in zip(result.node_logits, node_classes)
-        ]
-        acc = node_ce[0]
-        for t in node_ce[1:]:
-            acc = acc + t
-        terms.append(acc / float(len(node_ce)))
+    picked = (np.arange(len(node_classes)), node_classes)
+    total = -ad.mean_all(ad.gather(ad.log_softmax(result.node_logits), picked))
 
-    if result.edge_logits:
+    if len(inputs.edges):
         if mode == SINGLE:
             edge_classes = np.asarray(targets.edge_classes, dtype=np.int64)
-            edge_ce = [
-                -ad.gather(ad.log_softmax(logits), int(cls))
-                for logits, cls in zip(result.edge_logits, edge_classes)
-            ]
-            acc = edge_ce[0]
-            for t in edge_ce[1:]:
-                acc = acc + t
-            terms.append(acc / float(len(edge_ce)))
+            picked = (np.arange(len(edge_classes)), edge_classes)
+            total = total - ad.mean_all(ad.gather(ad.log_softmax(result.edge_logits), picked))
         else:
-            onehot = np.asarray(targets.edge_onehot, dtype=np.float64)
-            rows: list[Tensor] = []
-            for logits, target_row in zip(result.edge_logits, onehot):
-                p = ad.sigmoid(logits)
-                y = Tensor(target_row)
-                one = Tensor(np.ones_like(target_row))
-                eps = Tensor(np.full_like(target_row, BCE_EPS))
-                term = y * ad.log(p + eps) + (one - y) * ad.log(one - p + eps)
-                rows.append(-ad.mean_all(term))
-            acc = rows[0]
-            for t in rows[1:]:
-                acc = acc + t
-            terms.append(acc / float(len(rows)))
-
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
+            y = np.asarray(targets.edge_onehot, dtype=np.float64)
+            p = ad.sigmoid(result.edge_logits)
+            term = ad.log(p + BCE_EPS) * y + ad.log(1.0 - p + BCE_EPS) * (1.0 - y)
+            total = total - ad.mean_all(term)
     return total, result.prediction
 
 

@@ -1,11 +1,13 @@
 """Independent straight-line reference implementations used by tests.
 
-Everything here recomputes results with plain per-pixel/per-point loops,
-deliberately avoiding the vectorized production paths.
+Everything here recomputes results with plain per-pixel, per-point or
+per-node loops, deliberately avoiding the vectorized production paths.
 """
 
 import numpy as np
 
+from sgmap import autodiff as ad
+from sgmap import ssgp
 from sgmap.entity_map import AssociationStrategy
 
 
@@ -178,3 +180,199 @@ def random_mask_pair(rng, shape=(16, 16), img_labels=3, ref_labels=3):
     ref = rng.integers(0, ref_labels + 1, size=shape)
     conf = rng.uniform(0.05, 1.0, size=shape) * (ref != 0)
     return img, ref, conf
+
+
+# -- per-vector scene-graph network ------------------------------------------
+#
+# The scene-graph network computed one autodiff vector per node and per
+# edge, with edges in a dict keyed by (i, j) and each node context a max
+# over a Python list.  ``sgmap.ssgp`` computes it over stacked matrices;
+# tests compare the two within a tolerance.
+
+
+def _vec_matmul(a, b):
+    """``a @ b`` for the rank pairings the network uses: matrix-vector,
+    vector-vector and matrix-matrix."""
+    av, bv = a.value, b.value
+    out = ad.Tensor(av @ bv, parents=(a, b))
+
+    def backward(grad):
+        if a.requires_grad:
+            if av.ndim == 1:
+                a._accumulate(grad * bv)
+            else:
+                a._accumulate(np.outer(grad, bv) if bv.ndim == 1 else grad @ bv.T)
+        if b.requires_grad:
+            b._accumulate(grad * av if av.ndim == 1 else av.T @ grad)
+
+    out._backward = backward
+    return out
+
+
+def _vec_transpose(t):
+    out = ad.Tensor(t.value.T, parents=(t,))
+
+    def backward(grad):
+        if t.requires_grad:
+            t._accumulate(grad.T)
+
+    out._backward = backward
+    return out
+
+
+def _vec_stack_max(parts):
+    """Componentwise max over equally shaped vectors; gradient to the first
+    argmax on ties."""
+    stacked = np.stack([p.value for p in parts])
+    arg = stacked.argmax(axis=0)
+    out = ad.Tensor(stacked.max(axis=0), parents=tuple(parts))
+
+    def backward(grad):
+        for idx, p in enumerate(parts):
+            if p.requires_grad:
+                p._accumulate(grad * (arg == idx))
+
+    out._backward = backward
+    return out
+
+
+def _vec_max_axis0(a):
+    arg = a.value.argmax(axis=0)
+    out = ad.Tensor(a.value.max(axis=0), parents=(a,))
+
+    def backward(grad):
+        if a.requires_grad:
+            ga = np.zeros_like(a.value)
+            ga[arg, np.arange(a.value.shape[1])] = grad
+            a._accumulate(ga)
+
+    out._backward = backward
+    return out
+
+
+def _vec_mlp2(x, weights, prefix):
+    hidden = ad.relu(
+        _vec_matmul(weights[f"{prefix}.0.weight"], x) + weights[f"{prefix}.0.bias"]
+    )
+    return _vec_matmul(weights[f"{prefix}.1.weight"], hidden) + weights[f"{prefix}.1.bias"]
+
+
+def _vec_point_encoder(points, weights):
+    def per_point_linear(x, layer):
+        wt = _vec_transpose(weights[f"{layer}.weight"])
+        return _vec_matmul(x, wt) + weights[f"{layer}.bias"]
+
+    x = ad.Tensor(np.asarray(points, dtype=np.float64).reshape(-1, 3))
+    return _vec_max_axis0(per_point_linear(ad.relu(per_point_linear(x, "point_enc.0")), "point_enc.1"))
+
+
+def _vec_gru(h, x, weights, cell):
+    w = weights
+
+    def gate(name):
+        return _vec_matmul(w[f"{cell}.w_{name}"], x) + _vec_matmul(w[f"{cell}.u_{name}"], h)
+
+    r = ad.sigmoid(gate("r") + w[f"{cell}.b_r"])
+    z = ad.sigmoid(gate("z") + w[f"{cell}.b_z"])
+    n = ad.tanh(
+        _vec_matmul(w[f"{cell}.w_n"], x)
+        + r * _vec_matmul(w[f"{cell}.u_n"], h)
+        + w[f"{cell}.b_n"]
+    )
+    one = ad.Tensor(np.ones_like(z.value))
+    return (one - z) * n + z * h
+
+
+def forward_per_vector(inputs, weights, layers=None, mode=None):
+    """Node probabilities, edge probabilities and the per-row logit tensors."""
+    cfg = weights.config
+    layers = cfg.layers if layers is None else layers
+    mode = cfg.mode if mode is None else mode
+    if inputs.node_patches is not None:
+        v = [
+            _vec_matmul(weights["image_proj.weight"], ad.Tensor(p))
+            for p in np.asarray(inputs.node_patches, dtype=np.float64)
+        ]
+    else:
+        v = [ad.Tensor(f) for f in np.asarray(inputs.node_features, dtype=np.float64)]
+    geo = [_vec_point_encoder(p, weights) for p in inputs.node_points]
+    edge_feats = {
+        key: _vec_mlp2(ad.Tensor(g), weights, "edge_mlp")
+        for key, g in zip(inputs.edges, inputs.edge_geometry)
+    }
+    gate_w = weights["gate.weight"]
+    for _ in range(layers):
+        vplus = [
+            v[i] + ad.sigmoid(_vec_matmul(gate_w, ad.concat([v[i], geo[i]]))) * ad.sigmoid(geo[i])
+            for i in range(len(v))
+        ]
+        fan_out = {i: [] for i in range(len(v))}
+        for (i, j) in inputs.edges:
+            att = ad.softmax(
+                _vec_mlp2(ad.concat([vplus[i], edge_feats[(i, j)]]), weights, "fan.att")
+            )
+            fan_out[i].append(att * _vec_matmul(weights["fan.value.weight"], vplus[j]))
+        node_msgs = []
+        for i in range(len(v)):
+            if fan_out[i]:
+                ctx = fan_out[i][0] if len(fan_out[i]) == 1 else _vec_stack_max(fan_out[i])
+            else:
+                ctx = ad.Tensor(np.zeros(cfg.node_dim))
+            node_msgs.append(_vec_mlp2(ad.concat([vplus[i], ctx]), weights, "node_msg"))
+        edge_msgs = {
+            (i, j): _vec_mlp2(
+                ad.concat([vplus[i], edge_feats[(i, j)], vplus[j]]), weights, "edge_msg"
+            )
+            for (i, j) in inputs.edges
+        }
+        v = [_vec_gru(vplus[i], node_msgs[i], weights, "node_gru") for i in range(len(v))]
+        edge_feats = {
+            key: _vec_gru(edge_feats[key], edge_msgs[key], weights, "edge_gru")
+            for key in edge_feats
+        }
+    node_logits = [
+        _vec_matmul(weights["node_head.weight"], vi) + weights["node_head.bias"] for vi in v
+    ]
+    edge_logits = [
+        _vec_matmul(weights["edge_head.weight"], edge_feats[key]) + weights["edge_head.bias"]
+        for key in inputs.edges
+    ]
+    node_probs = np.array([ad.softmax(t).value for t in node_logits])
+    if mode == ssgp.SINGLE:
+        edge_probs = [ad.softmax(t).value for t in edge_logits]
+    else:
+        edge_probs = [ad.stable_sigmoid(t.value) for t in edge_logits]
+    edge_probs = np.array(edge_probs).reshape(len(inputs.edges), cfg.num_edge_classes)
+    return node_probs, edge_probs, node_logits, edge_logits
+
+
+def network_loss_per_vector(inputs, weights, targets, layers=None, mode=None):
+    """The differentiable loss, summed one row at a time."""
+    mode = weights.config.mode if mode is None else mode
+    _, _, node_logits, edge_logits = forward_per_vector(inputs, weights, layers, mode)
+
+    def mean(terms):
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        return acc / float(len(terms))
+
+    total = mean([
+        -ad.gather(ad.log_softmax(logits), int(cls))
+        for logits, cls in zip(node_logits, targets.node_classes)
+    ])
+    if edge_logits and mode == ssgp.SINGLE:
+        total = total + mean([
+            -ad.gather(ad.log_softmax(logits), int(cls))
+            for logits, cls in zip(edge_logits, targets.edge_classes)
+        ])
+    elif edge_logits:
+        rows = []
+        for logits, target in zip(edge_logits, np.asarray(targets.edge_onehot, dtype=float)):
+            p = ad.sigmoid(logits)
+            y = ad.Tensor(target)
+            one = ad.Tensor(np.ones_like(target))
+            eps = ad.Tensor(np.full_like(target, ssgp.BCE_EPS))
+            rows.append(-ad.mean_all(y * ad.log(p + eps) + (one - y) * ad.log(one - p + eps)))
+        total = total + mean(rows)
+    return total

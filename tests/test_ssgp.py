@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import forward_per_vector, network_loss_per_vector
 from sgmap import autodiff as ad
 from sgmap import ssgp
 from sgmap.autodiff import Tensor
@@ -57,6 +58,36 @@ def make_targets(inputs, rng=None):
     )
 
 
+def clutter_graph(seed=21, cfg=ssgp.NetworkConfig()):
+    """17 nodes, 270 directed edges and about 3.4k points: the graph size of
+    the benchmark's clutter scene, at the pipeline's network dimensions."""
+    rng = np.random.default_rng(seed)
+    n = 17
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = [pairs[k] for k in np.sort(rng.choice(len(pairs), 270, replace=False))]
+    return ssgp.GraphInputs(
+        node_labels=tuple(range(1, n + 1)),
+        node_points=[rng.normal(size=(int(rng.integers(150, 250)), 3)) for _ in range(n)],
+        edges=edges,
+        edge_geometry=rng.normal(size=(len(edges), 12)),
+        node_features=rng.normal(size=(n, cfg.node_dim)),
+    )
+
+
+def permute_nodes(inputs, perm):
+    """The same graph with node ``perm[k]`` stored as node ``k``."""
+    inv = {old: new for new, old in enumerate(perm)}
+    features, patches = inputs.node_features, inputs.node_patches
+    return ssgp.GraphInputs(
+        node_labels=tuple(inputs.node_labels[i] for i in perm),
+        node_points=[inputs.node_points[i] for i in perm],
+        edges=[(inv[i], inv[j]) for (i, j) in inputs.edges],
+        edge_geometry=inputs.edge_geometry,
+        node_features=None if features is None else features[perm],
+        node_patches=None if patches is None else patches[perm],
+    )
+
+
 class TestImageFeatures:
     def mask(self):
         m = np.zeros((20, 30), dtype=np.int64)
@@ -88,23 +119,8 @@ class TestImageFeatures:
         with pytest.raises(InvalidRoi):
             provider.feature(self.mask(), 9)
 
-    def test_precomputed_passthrough_bit_exact(self):
-        vec = np.array([0.1, -0.2, 0.3, 12345.6789])
-        provider = ssgp.PrecomputedFeatureProvider({(4, 7): vec})
-        out = provider.feature(4, 7)
-        assert out.tobytes() == vec.tobytes()
-        assert provider.feature(4, 8) is None
-
 
 class TestMultiview:
-    def test_single_view_identity(self):
-        v = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(ssgp.multiview_feature(v), v[0])
-
-    def test_two_view_mean(self):
-        views = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(ssgp.multiview_feature(views), [0.5, 0.5])
-
     def test_streamed_equals_batch(self):
         rng = np.random.default_rng(2)
         views = rng.normal(size=(20, 6))
@@ -115,9 +131,12 @@ class TestMultiview:
 
     def test_zero_views_raise(self):
         with pytest.raises(NoObservations):
-            ssgp.multiview_feature(np.empty((0, 4)))
-        with pytest.raises(NoObservations):
             ssgp.MultiviewAccumulator(4).value()
+
+
+def encode_one(pts, w):
+    """The point encoder on a single node's points."""
+    return ssgp.point_encoder(pts, np.zeros(len(pts), dtype=np.intp), 1, w).value[0]
 
 
 class TestPointEncoder:
@@ -125,9 +144,9 @@ class TestPointEncoder:
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(12, 3))
         w = make_weights()
-        base = ssgp.point_encoder(pts, w).value
+        base = encode_one(pts, w)
         perm = rng.permutation(12)
-        np.testing.assert_array_equal(ssgp.point_encoder(pts[perm], w).value, base)
+        np.testing.assert_array_equal(encode_one(pts[perm], w), base)
 
     def test_single_point_equals_mlp(self):
         rng = np.random.default_rng(5)
@@ -135,19 +154,21 @@ class TestPointEncoder:
         w = make_weights()
         h = np.maximum(w["point_enc.0.weight"].value @ p[0] + w["point_enc.0.bias"].value, 0)
         expected = w["point_enc.1.weight"].value @ h + w["point_enc.1.bias"].value
-        np.testing.assert_allclose(ssgp.point_encoder(p, w).value, expected)
+        np.testing.assert_allclose(encode_one(p, w), expected)
 
     def test_duplication_invariant(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(7, 3))
         w = make_weights()
-        base = ssgp.point_encoder(pts, w).value
+        base = encode_one(pts, w)
         doubled = np.vstack([pts, pts])
-        np.testing.assert_array_equal(ssgp.point_encoder(doubled, w).value, base)
+        np.testing.assert_array_equal(encode_one(doubled, w), base)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyPointSet):
-            ssgp.point_encoder(np.empty((0, 3)), make_weights())
+            encode_one(np.empty((0, 3)), make_weights())
+        with pytest.raises(EmptyPointSet):
+            ssgp.point_encoder(np.ones((2, 3)), np.array([0, 2]), 3, make_weights())
 
 
 def reference_pair_frame(ci, cj, up):
@@ -354,50 +375,56 @@ class TestMessageLayer:
     def test_single_neighbour_max_reduces_to_fan(self):
         w = make_weights()
         rng = np.random.default_rng(8)
-        vplus = [Tensor(rng.normal(size=4)) for _ in range(2)]
-        e = {(0, 1): Tensor(rng.normal(size=4))}
-        node_msgs, edge_msgs = ssgp.message_layer(vplus, e, [(0, 1)], w)
-        fan = ssgp.fan_attention(vplus[0], e[(0, 1)], vplus[1], w)
-        expected = ssgp._mlp2(ad.concat([vplus[0], fan]), w, "node_msg")
-        np.testing.assert_allclose(node_msgs[0].value, expected.value, atol=1e-12)
-        assert set(edge_msgs) == {(0, 1)}
+        vplus = Tensor(rng.normal(size=(2, 4)))
+        e = Tensor(rng.normal(size=(1, 4)))
+        node_msgs, edge_msgs = ssgp.message_layer(vplus, e, np.array([0]), np.array([1]), w)
+        v0, v1 = Tensor(vplus.value[0]), Tensor(vplus.value[1])
+        fan = ssgp.fan_attention(v0, Tensor(e.value[0]), v1, w)
+        expected = ssgp._mlp2(ad.concat([v0, fan]), w, "node_msg")
+        np.testing.assert_allclose(node_msgs.value[0], expected.value, atol=1e-12)
+        assert edge_msgs.value.shape == (1, 4)
 
     def test_isolated_node_uses_zero_context(self):
         w = make_weights()
         v = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
-        node_msgs, _ = ssgp.message_layer([v], {}, [], w)
+        none = np.empty(0, dtype=np.intp)
+        node_msgs, edge_msgs = ssgp.message_layer(
+            Tensor(v.value[None]), Tensor(np.empty((0, 4))), none, none, w
+        )
         expected = ssgp._mlp2(ad.concat([v, Tensor(np.zeros(4))]), w, "node_msg")
-        np.testing.assert_array_equal(node_msgs[0].value, expected.value)
+        np.testing.assert_array_equal(node_msgs.value[0], expected.value)
+        assert edge_msgs.value.shape == (0, 4)
 
     def test_matches_brute_force_on_random_graph(self):
         w = make_weights()
         rng = np.random.default_rng(9)
         n = 4
         edges = [(0, 1), (1, 0), (0, 2), (2, 0), (2, 3), (3, 2), (1, 3), (3, 1)]
-        vplus = [Tensor(rng.normal(size=4)) for _ in range(n)]
-        e = {key: Tensor(rng.normal(size=4)) for key in edges}
-        node_msgs, edge_msgs = ssgp.message_layer(vplus, e, edges, w)
+        src, dst = np.array(edges).T
+        vplus = rng.normal(size=(n, 4))
+        e = rng.normal(size=(len(edges), 4))
+        node_msgs, edge_msgs = ssgp.message_layer(Tensor(vplus), Tensor(e), src, dst, w)
         for i in range(n):
             fans = [
-                ssgp.fan_attention(vplus[i], e[(i, j)], vplus[j], w).value
-                for (a, j) in edges
+                ssgp.fan_attention(Tensor(vplus[i]), Tensor(e[k]), Tensor(vplus[j]), w).value
+                for k, (a, j) in enumerate(edges)
                 if a == i
             ]
             ctx = np.max(fans, axis=0)
             h = np.maximum(
-                w["node_msg.0.weight"].value @ np.concatenate([vplus[i].value, ctx])
+                w["node_msg.0.weight"].value @ np.concatenate([vplus[i], ctx])
                 + w["node_msg.0.bias"].value,
                 0,
             )
             expected = w["node_msg.1.weight"].value @ h + w["node_msg.1.bias"].value
-            np.testing.assert_allclose(node_msgs[i].value, expected, atol=1e-12)
-        for (i, j) in edges:
-            cat = np.concatenate([vplus[i].value, e[(i, j)].value, vplus[j].value])
+            np.testing.assert_allclose(node_msgs.value[i], expected, atol=1e-12)
+        for k, (i, j) in enumerate(edges):
+            cat = np.concatenate([vplus[i], e[k], vplus[j]])
             h = np.maximum(
                 w["edge_msg.0.weight"].value @ cat + w["edge_msg.0.bias"].value, 0
             )
             expected = w["edge_msg.1.weight"].value @ h + w["edge_msg.1.bias"].value
-            np.testing.assert_allclose(edge_msgs[(i, j)].value, expected, atol=1e-12)
+            np.testing.assert_allclose(edge_msgs.value[k], expected, atol=1e-12)
 
 
 class TestGruUpdate:
@@ -425,7 +452,7 @@ class TestGruUpdate:
 
         def scalar():
             out = ssgp.gru_update(Tensor(h_val), Tensor(x_val), w, "node_gru")
-            return ad.matmul(out, Tensor(probe))
+            return ad.mean_all(out * Tensor(probe))
 
         out = scalar()
         out.backward()
@@ -473,30 +500,25 @@ class TestForward:
             np.testing.assert_allclose(logit_probs, e / e.sum(), atol=1e-12)
 
     def test_repeatable_and_permutation_independent(self):
-        w = make_weights()
-        inputs = make_graph()
-        a = ssgp.forward(inputs, w).prediction
-        b = ssgp.forward(inputs, w).prediction
-        np.testing.assert_array_equal(a.node_probs, b.node_probs)
-        np.testing.assert_array_equal(a.edge_probs, b.edge_probs)
+        cases = [
+            (make_weights(), make_graph(), [2, 0, 1]),
+            (ssgp.init_weights(ssgp.NetworkConfig(), seed=4), clutter_graph(),
+             list(np.random.default_rng(5).permutation(17))),
+        ]
+        for w, inputs, perm in cases:
+            a = ssgp.forward(inputs, w).prediction
+            b = ssgp.forward(inputs, w).prediction
+            np.testing.assert_array_equal(a.node_probs, b.node_probs)
+            np.testing.assert_array_equal(a.edge_probs, b.edge_probs)
 
-        perm = [2, 0, 1]
-        inv = {old: new for new, old in enumerate(perm)}
-        permuted = ssgp.GraphInputs(
-            node_labels=tuple(inputs.node_labels[i] for i in perm),
-            node_points=[inputs.node_points[i] for i in perm],
-            edges=[(inv[i], inv[j]) for (i, j) in inputs.edges],
-            edge_geometry=inputs.edge_geometry,
-            node_patches=inputs.node_patches[perm],
-        )
-        c = ssgp.forward(permuted, w).prediction
-        for new, old in enumerate(perm):
-            np.testing.assert_array_equal(c.node_probs[new], a.node_probs[old])
-        by_key_a = dict(zip(a.edge_keys, a.edge_probs))
-        by_key_c = dict(zip(c.edge_keys, c.edge_probs))
-        assert set(by_key_a) == set(by_key_c)
-        for key in by_key_a:
-            np.testing.assert_array_equal(by_key_a[key], by_key_c[key])
+            c = ssgp.forward(permute_nodes(inputs, perm), w).prediction
+            for new, old in enumerate(perm):
+                np.testing.assert_array_equal(c.node_probs[new], a.node_probs[old])
+            by_key_a = dict(zip(a.edge_keys, a.edge_probs))
+            by_key_c = dict(zip(c.edge_keys, c.edge_probs))
+            assert set(by_key_a) == set(by_key_c)
+            for key in by_key_a:
+                np.testing.assert_array_equal(by_key_a[key], by_key_c[key])
 
     def test_multi_mode_sigmoid_outputs(self):
         cfg = ssgp.NetworkConfig(
@@ -508,6 +530,104 @@ class TestForward:
         inputs = make_graph(cfg=cfg)
         probs = ssgp.forward(inputs, w).prediction.edge_probs
         assert np.all((probs > 0) & (probs < 1))
+
+
+MULTI_CFG = ssgp.NetworkConfig(
+    node_dim=4, edge_dim=4, geo_dim=4, hidden_dim=4,
+    num_node_classes=3, num_edge_classes=2, layers=2,
+    mode=ssgp.MULTI, patch_size=2,
+)
+
+
+def tied_graph(seed, cfg=CFG):
+    """Six nodes: 5 is isolated, 4 has a single out-edge, 0 holds every point
+    twice, and 2 and 3 are identical, so node 1's context max ties exactly
+    between edges 1->3 and 1->2.  Edges are not sorted by source."""
+    rng = np.random.default_rng(seed)
+    points = [rng.normal(size=(int(rng.integers(3, 9)), 3)) for _ in range(6)]
+    points[0] = np.vstack([points[0], points[0]])
+    points[3] = points[2]
+    patches = rng.normal(size=(6, cfg.patch_dim))
+    patches[3] = patches[2]
+    edges = [(1, 3), (0, 1), (2, 1), (1, 0), (4, 0), (3, 1), (1, 2), (0, 2)]
+    geometry = rng.normal(size=(len(edges), 12))
+    geometry[edges.index((1, 2))] = geometry[edges.index((1, 3))]
+    geometry[edges.index((3, 1))] = geometry[edges.index((2, 1))]
+    inputs = ssgp.GraphInputs(
+        node_labels=tuple(range(20, 26)),
+        node_points=points,
+        edges=edges,
+        edge_geometry=geometry,
+        node_patches=patches,
+    )
+    targets = ssgp.GraphTargets(
+        node_classes=rng.integers(0, cfg.num_node_classes, size=6),
+        edge_classes=rng.integers(0, cfg.num_edge_classes, size=len(edges)),
+        edge_onehot=rng.integers(0, 2, size=(len(edges), cfg.num_edge_classes)).astype(float),
+    )
+    return inputs, targets
+
+
+class TestPerVectorOracle:
+    """The batched network against the per-vector reference in oracles.py."""
+
+    def assert_matches(self, inputs, targets, w, layers=None):
+        result = ssgp.forward(inputs, w, layers=layers)
+        node_probs, edge_probs, _, _ = forward_per_vector(inputs, w, layers=layers)
+        np.testing.assert_allclose(result.prediction.node_probs, node_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.prediction.edge_probs, edge_probs, rtol=0, atol=1e-12)
+
+        w.zero_grad()
+        tape_loss, _ = ssgp.network_loss(inputs, w, targets, layers=layers)
+        tape_loss.backward()
+        grads = {name: t.grad for name, t in w.parameters()}
+        w.zero_grad()
+        reference = network_loss_per_vector(inputs, w, targets, layers=layers)
+        reference.backward()
+        assert abs(float(tape_loss.value) - float(reference.value)) <= 1e-12
+        for name, t in w.parameters():
+            if t.grad is None:
+                assert grads[name] is None, name
+                continue
+            scale = np.max(np.abs(t.grad))
+            assert np.max(np.abs(grads[name] - t.grad)) <= 1e-9 * scale, name
+        w.zero_grad()
+
+    def test_isolated_single_edge_and_tied_nodes(self):
+        for seed in range(3):
+            inputs, targets = tied_graph(seed)
+            self.assert_matches(inputs, targets, make_weights(seed=seed))
+
+    def test_zero_layers(self):
+        inputs, targets = tied_graph(3)
+        self.assert_matches(inputs, targets, make_weights(seed=3), layers=0)
+
+    def test_multi_mode(self):
+        inputs, targets = tied_graph(4, MULTI_CFG)
+        self.assert_matches(inputs, targets, ssgp.init_weights(MULTI_CFG, seed=4))
+
+    def test_random_graphs_with_node_features(self):
+        cfg = ssgp.NetworkConfig(
+            node_dim=6, edge_dim=5, geo_dim=6, hidden_dim=7,
+            num_node_classes=4, num_edge_classes=3, layers=2, patch_size=2,
+        )
+        for seed in range(3):
+            rng = np.random.default_rng(40 + seed)
+            n = 7
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            edges = [pairs[k] for k in rng.choice(len(pairs), 15, replace=False)]
+            inputs = ssgp.GraphInputs(
+                node_labels=tuple(range(n)),
+                node_points=[rng.normal(size=(int(rng.integers(1, 12)), 3)) for _ in range(n)],
+                edges=edges,
+                edge_geometry=rng.normal(size=(len(edges), 12)),
+                node_features=rng.normal(size=(n, cfg.node_dim)),
+            )
+            targets = ssgp.GraphTargets(
+                node_classes=rng.integers(0, 4, size=n),
+                edge_classes=rng.integers(0, 3, size=len(edges)),
+            )
+            self.assert_matches(inputs, targets, ssgp.init_weights(cfg, seed=seed))
 
 
 class TestLoss:

@@ -215,6 +215,30 @@ class TestSeqIo:
             seqio.read_points(path)
         assert "bad.points:2" in str(err.value)
 
+    def test_ragged_points_lines_rejected(self, tmp_path):
+        path = tmp_path / "ragged.points"
+        path.write_text("1 0.1 0.2\n2 0.3 0.4 0.5 0.6\n")
+        with pytest.raises(seqio.SequenceFormatError) as err:
+            seqio.read_points(path)
+        assert "ragged.points:1" in str(err.value)
+
+    def test_point_ids_parse_exactly_above_2_53(self, tmp_path):
+        path = tmp_path / "big.points"
+        for text in ("9007199254740993 0 0 0\n9007199254740992 1 1 1\n",
+                     "9007199254740993 0 0 0\n\n9007199254740992 1 1 1"):
+            path.write_text(text)
+            ids, positions = seqio.read_points(path)
+            assert ids.dtype == np.int64
+            assert ids.tolist() == [9007199254740993, 9007199254740992]
+            np.testing.assert_array_equal(positions, [[0, 0, 0], [1, 1, 1]])
+
+    def test_fractional_point_id_rejected(self, tmp_path):
+        path = tmp_path / "frac.points"
+        path.write_text("2 0 0 0\n1.7 0 0 0\n")
+        with pytest.raises(seqio.SequenceFormatError) as err:
+            seqio.read_points(path)
+        assert "frac.points:2" in str(err.value)
+
     def test_missing_frame_file_reported(self, tmp_path):
         out = tmp_path / "seq"
         synth.generate(one_box_scene(), out)
