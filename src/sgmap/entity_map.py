@@ -68,7 +68,10 @@ class PointMap:
         self._positions = np.empty((0, 3), dtype=np.float64)
         self._labels = np.empty(0, dtype=np.int64)
         self._weights = np.empty(0, dtype=np.float64)
-        self._row_of: dict[int, int] = {}
+        # Id -> row index: the ids in ascending order and the row of each.
+        # Rows are append-only, so a row never changes its point.
+        self._sorted_ids = np.empty(0, dtype=np.int64)
+        self._sorted_rows = np.empty(0, dtype=np.int64)
         self.next_label = next_label
         # Monotone per-label change counters: bumped when a label gains or
         # loses points or its points move; weight-only updates do not
@@ -103,8 +106,24 @@ class PointMap:
     def weights(self) -> np.ndarray:
         return self._weights
 
+    def _find(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(known, rows) for an id array; ``rows`` is only valid where
+        ``known``."""
+        if len(self._sorted_ids) == 0:
+            return np.zeros(len(ids), dtype=bool), np.zeros(len(ids), dtype=np.int64)
+        at = np.minimum(np.searchsorted(self._sorted_ids, ids), len(self._sorted_ids) - 1)
+        return self._sorted_ids[at] == ids, self._sorted_rows[at]
+
+    def rows_of(self, ids) -> np.ndarray:
+        """Rows of existing point ids; ``KeyError`` names an unknown one."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        known, rows = self._find(ids)
+        if not known.all():
+            raise KeyError(int(ids[np.argmin(known)]))
+        return rows
+
     def point(self, point_id: int) -> LabeledPoint:
-        row = self._row_of[point_id]
+        row = int(self.rows_of(point_id)[0])
         return LabeledPoint(
             id=point_id,
             position=self._positions[row].copy(),
@@ -114,12 +133,20 @@ class PointMap:
 
     def upsert_positions(self, ids: np.ndarray, positions: np.ndarray) -> None:
         """Insert new points (unlabeled, weight 0) or refresh positions of
-        existing ones; labels and weights are untouched."""
-        ids = np.asarray(ids, dtype=np.int64)
+        existing ones; labels and weights are untouched.
+
+        Raises:
+            ValueError: an id occurs more than once in ``ids``.
+        """
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-        known = np.array([pid in self._row_of for pid in ids], dtype=bool)
+        sorted_ids = np.sort(ids)
+        repeat = np.nonzero(sorted_ids[1:] == sorted_ids[:-1])[0]
+        if len(repeat):
+            raise ValueError(f"duplicate point id {int(sorted_ids[repeat[0]])}")
+        known, rows = self._find(ids)
         if known.any():
-            rows = np.array([self._row_of[pid] for pid in ids[known]])
+            rows = rows[known]
             moved = np.any(self._positions[rows] != positions[known], axis=1)
             if moved.any():
                 self._bump_labels(self._labels[rows[moved]])
@@ -136,13 +163,16 @@ class PointMap:
             self._weights = np.concatenate(
                 [self._weights, np.zeros(len(new_ids), dtype=np.float64)]
             )
-            for offset, pid in enumerate(new_ids):
-                self._row_of[int(pid)] = start + offset
+            new_rows = start + np.arange(len(new_ids))
+            by_new_id = np.argsort(new_ids)
+            at = np.searchsorted(self._sorted_ids, new_ids[by_new_id])
+            self._sorted_ids = np.insert(self._sorted_ids, at, new_ids[by_new_id])
+            self._sorted_rows = np.insert(self._sorted_rows, at, new_rows[by_new_id])
 
     def set_point(self, point_id: int, label: int, weight: float) -> None:
         if (label == UNLABELED) != (weight == 0.0):
             raise InvalidLabel("label 0 must pair with weight 0 and vice versa")
-        row = self._row_of[point_id]
+        row = int(self.rows_of(point_id)[0])
         if self._labels[row] != label:
             self._bump_labels([self._labels[row], label])
         self._labels[row] = label
@@ -169,7 +199,8 @@ class PointMap:
         clone._positions = self._positions.copy()
         clone._labels = self._labels.copy()
         clone._weights = self._weights.copy()
-        clone._row_of = dict(self._row_of)
+        clone._sorted_ids = self._sorted_ids.copy()
+        clone._sorted_rows = self._sorted_rows.copy()
         clone._label_versions = dict(self._label_versions)
         return clone
 
@@ -194,6 +225,22 @@ class ReferenceRender:
     visible_labels: np.ndarray
 
 
+def _sliding_min(img: np.ndarray, radius: int, axis: int) -> np.ndarray:
+    """Minimum over a window of ``2 * radius + 1`` along ``axis``, clipped at
+    the image border."""
+    out = img.copy()
+    n = img.shape[axis]
+    for shift in range(1, min(radius, n - 1) + 1):
+        lo = [slice(None)] * 2
+        hi = [slice(None)] * 2
+        lo[axis] = slice(0, n - shift)
+        hi[axis] = slice(shift, n)
+        lo, hi = tuple(lo), tuple(hi)
+        np.minimum(out[lo], img[hi], out=out[lo])
+        np.minimum(out[hi], img[lo], out=out[hi])
+    return out
+
+
 def render_reference(
     pmap: PointMap,
     pose: RigidPose,
@@ -203,9 +250,11 @@ def render_reference(
     """Project labeled map points into the keyframe.
 
     Every labeled visible point paints a (2r+1)^2 splat of its label,
-    weight, and id; contended pixels keep the smallest camera depth, equal
-    depths the smallest point id.
+    weight, and id, clipped at the image border; contended pixels keep the
+    smallest camera depth, equal depths the smallest point id.
     """
+    if splat_radius < 0:
+        raise ValueError("splat_radius must be >= 0")
     h, w = intrinsics.height, intrinsics.width
     ref_labels = np.zeros((h, w), dtype=np.int64)
     ref_conf = np.zeros((h, w), dtype=np.float64)
@@ -224,44 +273,29 @@ def render_reference(
     vis_labels = pmap.labels[visible]
     vis_depth = _depth[visible]
 
-    labeled = vis_labels != UNLABELED
-    if labeled.any():
-        rows0 = vis_rows[labeled]
-        cols0 = vis_cols[labeled]
-        ids0 = vis_ids[labeled]
-        labels0 = vis_labels[labeled]
-        weights0 = pmap.weights[visible][labeled]
-        depth0 = vis_depth[labeled]
-
-        offsets = range(-splat_radius, splat_radius + 1)
-        cand_flat = []
-        cand_src = []
-        for dr in offsets:
-            for dc in offsets:
-                rr = rows0 + dr
-                cc = cols0 + dc
-                ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-                cand_flat.append(rr[ok] * w + cc[ok])
-                cand_src.append(np.nonzero(ok)[0])
-        flat = np.concatenate(cand_flat)
-        src = np.concatenate(cand_src)
-
-        # Two-stage contention resolution with documented duplicate-index
-        # semantics: minimum depth per pixel, then minimum id among the
-        # depth winners.
-        depth_buf = np.full(h * w, np.inf)
-        np.minimum.at(depth_buf, flat, depth0[src])
-        on_min = depth0[src] == depth_buf[flat]
-        id_buf = np.full(h * w, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(id_buf, flat[on_min], ids0[src[on_min]])
-        winner = on_min.copy()
-        winner[on_min] = ids0[src[on_min]] == id_buf[flat[on_min]]
-
-        wf = flat[winner]
-        ws = src[winner]
-        ref_labels.reshape(-1)[wf] = labels0[ws]
-        ref_conf.reshape(-1)[wf] = weights0[ws]
-        provenance.reshape(-1)[wf] = ids0[ws]
+    labeled = np.nonzero(vis_labels != UNLABELED)[0]
+    if len(labeled):
+        # A pixel shows the labeled point of least (depth, id) among those
+        # whose centre lies within ``splat_radius`` of it (Chebyshev).  Rank
+        # the points by that order, keep each centre pixel's least rank,
+        # then take a sliding minimum over rows and over columns, within the
+        # band of rows the splats can reach.  Ids are unique, so no two
+        # points tie on (depth, id).
+        order = labeled[np.lexsort((vis_ids[labeled], vis_depth[labeled]))]
+        rows = vis_rows[order]
+        top = max(rows.min() - splat_radius, 0)
+        bottom = min(rows.max() + splat_radius + 1, h)
+        none = len(order)
+        rank = np.full((bottom - top) * w, none, dtype=np.intp)
+        np.minimum.at(rank, (rows - top) * w + vis_cols[order], np.arange(none))
+        rank = rank.reshape(-1, w)
+        rank = _sliding_min(_sliding_min(rank, splat_radius, axis=0), splat_radius, axis=1)
+        at = np.flatnonzero(rank < none)
+        winner = order[rank.reshape(-1)[at]]
+        painted = at + top * w
+        ref_labels.reshape(-1)[painted] = vis_labels[winner]
+        ref_conf.reshape(-1)[painted] = pmap.weights[visible][winner]
+        provenance.reshape(-1)[painted] = vis_ids[winner]
 
     return ReferenceRender(
         ref_labels=ref_labels,
@@ -444,7 +478,7 @@ def fuse(
     ids = render.visible_ids[active]
     obs = obs[active]
     conf = conf[active]
-    map_rows = np.array([pmap._row_of[int(pid)] for pid in ids])
+    map_rows = pmap.rows_of(ids)
     cur_labels = pmap._labels[map_rows]
     cur_weights = pmap._weights[map_rows]
 

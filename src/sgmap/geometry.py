@@ -2,7 +2,8 @@
 minimum-volume box fitting, margin-inflated box collision, and pinhole
 projection.
 
-All functions are pure and operate on float64 numpy arrays.
+All functions operate on float64 numpy arrays and are pure, except that
+:func:`outlier_mask` updates the neighbour cache it is given.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ class GravityConfig:
         if abs(np.linalg.norm(up) - 1.0) > 1e-9:
             raise ValueError("up must be unit length within 1e-9")
         object.__setattr__(self, "up", up)
+        # Deterministic right-handed horizontal basis (h1, h2) with
+        # h2 = up x h1, computed once; see :func:`horizontal_basis`.
+        axis = np.zeros(3)
+        axis[int(np.argmin(np.abs(up)))] = 1.0
+        h1 = axis - np.dot(axis, up) * up
+        h1 /= np.linalg.norm(h1)
+        h2 = np.cross(up, h1)
+        h1.flags.writeable = False
+        h2.flags.writeable = False
+        object.__setattr__(self, "basis", (h1, h2))
 
 
 DEFAULT_GRAVITY = GravityConfig()
@@ -134,20 +145,37 @@ def canonical_yaw(yaw: float, d0: float, d1: float) -> tuple[float, float, float
 
 
 def horizontal_basis(gravity: GravityConfig = DEFAULT_GRAVITY) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic right-handed horizontal basis (h1, h2) with h2 = up x h1."""
-    up = gravity.up
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(up)))] = 1.0
-    h1 = axis - np.dot(axis, up) * up
-    h1 /= np.linalg.norm(h1)
-    h2 = np.cross(up, h1)
-    return h1, h2
+    """Deterministic right-handed horizontal basis (h1, h2) with h2 = up x h1
+    (read-only arrays, computed once per :class:`GravityConfig`)."""
+    return gravity.basis
+
+
+@dataclass
+class NeighbourCache:
+    """The k-nearest-neighbour table of one point set, kept by
+    :func:`outlier_mask` so the next call on a slightly changed set can
+    reuse it.
+
+    ``keys`` (n,) are the caller's strictly ascending point keys, and
+    ``positions`` (n, 3) the points' positions.  Row i of ``dists``
+    (n, k+1) holds point i's ascending distances to its k+1 nearest points
+    of the set (itself included), realised by the points at rows
+    ``index[i]``.  An empty cache (the default) makes the next call a full
+    query.
+    """
+
+    keys: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    positions: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    dists: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    index: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.intp))
 
 
 def outlier_mask(
     points: np.ndarray,
     mean_k: int = DEFAULT_MEAN_K,
     std_ratio: float = DEFAULT_STD_RATIO,
+    keys: np.ndarray | None = None,
+    neighbours: NeighbourCache | None = None,
 ) -> np.ndarray:
     """Boolean mask of points kept by statistical outlier removal.
 
@@ -155,6 +183,15 @@ def outlier_mask(
     neighbours is at most the global mean plus ``std_ratio`` standard
     deviations of those per-point means.  Inputs with at most ``mean_k``
     points are returned unchanged.
+
+    With ``neighbours`` (and the points' strictly ascending ``keys``) the
+    neighbour table of the previous call is repaired instead of recomputed,
+    and the cache is updated in place.  A cached row is kept when its point
+    and all of its k+1 cached neighbours are still present at unchanged
+    positions, and no point added since then is about as close as its
+    last neighbour (within a relative 1e-12, so no rounding can hide one
+    that is closer).  Every other row is queried afresh, so the result
+    equals a full query bit for bit.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -165,23 +202,47 @@ def outlier_mask(
         raise ValueError("mean_k must be >= 1")
     if len(pts) <= mean_k:
         return np.ones(len(pts), dtype=bool)
-    tree = cKDTree(pts)
-    dists, _ = tree.query(pts, k=mean_k + 1)
+    k1 = mean_k + 1
+    n = len(pts)
+    cache = NeighbourCache() if neighbours is None else neighbours
+    if neighbours is not None:
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.shape != (n,) or np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("keys must be strictly ascending, one per point")
+
+    # Map the cached points onto the current ones: a cached point survives
+    # when its key is still present at the same position.
+    old_n = len(cache.keys) if cache.dists.shape[1:] == (k1,) else 0
+    new_of_old = np.full(old_n, -1, dtype=np.intp)
+    if old_n:
+        at = np.minimum(np.searchsorted(keys, cache.keys), n - 1)
+        same = (keys[at] == cache.keys) & np.all(pts[at] == cache.positions, axis=1)
+        new_of_old[same] = at[same]
+    survived = new_of_old >= 0
+    is_old = np.zeros(n, dtype=bool)
+    is_old[new_of_old[survived]] = True
+    added = np.nonzero(~is_old)[0]
+    reuse = np.nonzero(survived & survived[cache.index[:old_n]].all(axis=1))[0]
+    if len(reuse) and len(added):
+        nearest_added, _ = cKDTree(pts[added]).query(pts[new_of_old[reuse]], k=1)
+        reuse = reuse[nearest_added > cache.dists[reuse, -1] * (1.0 + 1e-12)]
+
+    dists = np.empty((n, k1))
+    index = np.empty((n, k1), dtype=np.intp)
+    requery = np.ones(n, dtype=bool)
+    if len(reuse):
+        rows = new_of_old[reuse]
+        requery[rows] = False
+        dists[rows] = cache.dists[reuse]
+        index[rows] = new_of_old[cache.index[reuse]]
+    if requery.any():
+        dists[requery], index[requery] = cKDTree(pts).query(pts[requery], k=k1)
+
+    if neighbours is not None:
+        cache.keys, cache.positions, cache.dists, cache.index = keys, pts.copy(), dists, index
     mean_dists = dists[:, 1:].mean(axis=1)
     threshold = mean_dists.mean() + std_ratio * mean_dists.std()
     return mean_dists <= threshold
-
-
-def remove_outliers(
-    points: np.ndarray,
-    mean_k: int = DEFAULT_MEAN_K,
-    std_ratio: float = DEFAULT_STD_RATIO,
-) -> np.ndarray:
-    """Filtered copy of ``points``; see :func:`outlier_mask` for the rule."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        raise EmptyPointSet("outlier removal needs at least one point")
-    return pts[outlier_mask(pts, mean_k=mean_k, std_ratio=std_ratio)].copy()
 
 
 def fit_obb(points: np.ndarray, gravity: GravityConfig = DEFAULT_GRAVITY) -> Obb:
@@ -210,19 +271,18 @@ def fit_obb(points: np.ndarray, gravity: GravityConfig = DEFAULT_GRAVITY) -> Obb
     edges = np.roll(hp, -1, axis=0) - hp
     angles = np.unique(np.mod(np.arctan2(edges[:, 1], edges[:, 0]), HALF_PI))
 
-    best = None
-    for ang in angles:
-        c, s = math.cos(ang), math.sin(ang)
-        u = hp[:, 0] * c + hp[:, 1] * s
-        v = -hp[:, 0] * s + hp[:, 1] * c
-        du = u.max() - u.min()
-        dv = v.max() - v.min()
-        area = du * dv
-        if best is None or area < best[0]:
-            best = (area, ang, u.min(), u.max(), v.min(), v.max())
+    # Every candidate angle at once: rows are angles, columns hull points.
+    cos = np.array([math.cos(a) for a in angles])[:, None]
+    sin = np.array([math.sin(a) for a in angles])[:, None]
+    u = hp[:, 0] * cos + hp[:, 1] * sin
+    v = -hp[:, 0] * sin + hp[:, 1] * cos
+    u_lo, u_hi = u.min(axis=1), u.max(axis=1)
+    v_lo, v_hi = v.min(axis=1), v.max(axis=1)
+    best = int(np.argmin((u_hi - u_lo) * (v_hi - v_lo)))
 
-    _, ang, umin, umax, vmin, vmax = best
-    c, s = math.cos(ang), math.sin(ang)
+    ang = float(angles[best])
+    umin, umax, vmin, vmax = u_lo[best], u_hi[best], v_lo[best], v_hi[best]
+    c, s = float(cos[best, 0]), float(sin[best, 0])
     cu = 0.5 * (umin + umax)
     cv = 0.5 * (vmin + vmax)
     cx = cu * c - cv * s
@@ -336,16 +396,6 @@ def project_points(
         & (uv[:, 1] < intrinsics.height)
     )
     return uv, depth, visible
-
-
-def project(
-    point: np.ndarray, pose: RigidPose, intrinsics: CameraIntrinsics
-) -> tuple[float, float, float] | None:
-    """Project a single world point; ``None`` when it is not visible."""
-    uv, depth, visible = project_points(np.asarray(point).reshape(1, 3), pose, intrinsics)
-    if not visible[0]:
-        return None
-    return float(uv[0, 0]), float(uv[0, 1]), float(depth[0])
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:

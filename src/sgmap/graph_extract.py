@@ -2,7 +2,8 @@
 graphs from point-map snapshots.
 
 Extraction is meant to run on immutable snapshots taken between fusion
-steps; everything here is a pure function of its inputs.
+steps; everything here is a pure function of its inputs, except that
+:func:`extract_entity` updates the neighbour cache it is given.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .geometry import (
     DEFAULT_GRAVITY,
     CameraIntrinsics,
     GravityConfig,
+    NeighbourCache,
     Obb,
     RigidPose,
     fit_obb,
@@ -150,14 +152,21 @@ def extract_entity(
     mean_k: int = geometry.DEFAULT_MEAN_K,
     std_ratio: float = geometry.DEFAULT_STD_RATIO,
     gravity: GravityConfig = DEFAULT_GRAVITY,
+    neighbours: NeighbourCache | None = None,
 ) -> EntityNode | None:
     """Extract one label's node, or ``None`` when it has too few points or
-    its filtered points are too degenerate to box."""
+    its filtered points are too degenerate to box.
+
+    ``neighbours`` carries the label's outlier-filter neighbour table from
+    one call to the next, keyed by map row (see :func:`outlier_mask`).
+    """
     rows = snapshot.label_rows(int(label))
     if len(rows) < min_points:
         return None
     positions = snapshot.positions[rows]
-    keep = outlier_mask(positions, mean_k=mean_k, std_ratio=std_ratio)
+    keep = outlier_mask(
+        positions, mean_k=mean_k, std_ratio=std_ratio, keys=rows, neighbours=neighbours
+    )
     filtered = positions[keep]
     try:
         obb = fit_obb(filtered, gravity)

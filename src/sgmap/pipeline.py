@@ -33,7 +33,7 @@ from .evaluation import (
     map_segments,
     recall_suite,
 )
-from .geometry import GravityConfig
+from .geometry import GravityConfig, NeighbourCache
 from .graph_extract import (
     EntityNode,
     Keyframe,
@@ -197,10 +197,11 @@ class IncrementalPipeline:
             omega_max=config.omega_max,
         )
         self.latest_entities: dict[int, EntityNode] = {}
-        # Per-label geometry cache: (map label version, extracted node).
-        # Extraction repeats only for labels whose membership or point
-        # positions changed since the previous tick.
-        self._entity_cache: dict[int, tuple[int, EntityNode | None]] = {}
+        # Per-label geometry cache: (map label version, extracted node,
+        # outlier-filter neighbour table).  Extraction repeats only for
+        # labels whose membership or point positions changed since the
+        # previous tick, and then repairs the neighbour table.
+        self._entity_cache: dict[int, tuple[int, EntityNode | None, NeighbourCache]] = {}
         self.timer = StageTimer()
         self._patch_provider = (
             PatchImageFeatureProvider(weights) if weights is not None else None
@@ -303,6 +304,7 @@ class IncrementalPipeline:
             version = snapshot.label_version(label)
             cached = self._entity_cache.get(label)
             if cached is None or cached[0] != version:
+                neighbours = NeighbourCache() if cached is None else cached[2]
                 node = extract_entity(
                     snapshot,
                     label,
@@ -310,8 +312,9 @@ class IncrementalPipeline:
                     mean_k=self.config.outlier_mean_k,
                     std_ratio=self.config.outlier_std_ratio,
                     gravity=self._gravity,
+                    neighbours=neighbours,
                 )
-                self._entity_cache[label] = (version, node)
+                self._entity_cache[label] = (version, node, neighbours)
             node = self._entity_cache[label][1]
             if node is not None:
                 entities.append(node)

@@ -139,11 +139,12 @@ def write_points(path, ids: np.ndarray, positions: np.ndarray) -> None:
 def read_points(path) -> tuple[np.ndarray, np.ndarray]:
     """Point ids (int64, parsed as integers) and (N, 3) positions.
 
-    Every non-blank line must hold exactly ``id x y z``.  The common case
-    is parsed in one pass: each newline becomes a ``;`` token, so a file
-    whose lines all have four fields has ``;`` at every fifth token and
-    nowhere else (a stray ``;`` fails to parse as a number).  Anything else
-    is read line by line, which raises with the offending line.
+    Every non-blank line must hold exactly ``id x y z``, and no id may
+    repeat.  The common case is parsed in one pass: each newline becomes a
+    ``;`` token, so a file whose lines all have four fields has ``;`` at
+    every fifth token and nowhere else (a stray ``;`` fails to parse as a
+    number), and point i sits on line i + 1.  Anything else is read line by
+    line, which raises with the offending line.
     """
     text = Path(path).read_text()
     tokens = text.replace("\n", " ; ").split()
@@ -153,15 +154,18 @@ def read_points(path) -> tuple[np.ndarray, np.ndarray]:
         try:
             ids = np.array(tokens[0::5], dtype=np.int64)
             positions = np.array([tokens[1::5], tokens[2::5], tokens[3::5]], dtype=np.float64)
-            return ids, np.ascontiguousarray(positions.T)
         except (ValueError, OverflowError):
             pass  # fall through to the line-accurate path
+        else:
+            _reject_repeated_ids(path, ids)
+            return ids, np.ascontiguousarray(positions.T)
     return _read_points_by_line(path, text)
 
 
 def _read_points_by_line(path, text: str) -> tuple[np.ndarray, np.ndarray]:
     ids: list[np.int64] = []
     positions: list[list[float]] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
@@ -175,7 +179,26 @@ def _read_points_by_line(path, text: str) -> tuple[np.ndarray, np.ndarray]:
             positions.append([float(v) for v in parts[1:]])
         except (ValueError, OverflowError) as exc:
             raise SequenceFormatError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(ids, dtype=np.int64), np.array(positions, dtype=np.float64).reshape(-1, 3)
+        linenos.append(lineno)
+    ids_arr = np.array(ids, dtype=np.int64)
+    _reject_repeated_ids(path, ids_arr, np.array(linenos, dtype=np.int64))
+    return ids_arr, np.array(positions, dtype=np.float64).reshape(-1, 3)
+
+
+def _reject_repeated_ids(path, ids: np.ndarray, linenos: np.ndarray | None = None) -> None:
+    """Raise at the first line whose point id an earlier line already has;
+    ``linenos`` defaults to point i on line i + 1."""
+    ordered = np.sort(ids)
+    if not np.any(ordered[1:] == ordered[:-1]):
+        return
+    if linenos is None:
+        linenos = np.arange(1, len(ids) + 1)
+    _, first_seen = np.unique(ids, return_index=True)
+    repeat = np.setdiff1d(np.arange(len(ids)), first_seen)[0]
+    earlier = int(np.argmax(ids == ids[repeat]))
+    raise SequenceFormatError(
+        f"{path}:{linenos[repeat]}: point id {ids[repeat]} repeats line {linenos[earlier]}"
+    )
 
 
 def write_features(path, table: dict[int, np.ndarray]) -> None:

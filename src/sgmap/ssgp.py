@@ -464,6 +464,10 @@ class GraphInputs:
         self.points = np.concatenate([np.empty((0, 3)), *point_sets])
         self.point_node = np.repeat(np.arange(n), [len(p) for p in point_sets])
         ends = np.asarray(self.edges, dtype=np.intp).reshape(len(self.edges), 2)
+        outside = (ends < 0) | (ends >= n)
+        if outside.any():
+            bad = tuple(int(v) for v in ends[np.argmax(outside.any(axis=1))])
+            raise ValueError(f"edge {bad} has an endpoint outside [0, {n})")
         self.src, self.dst = ends[:, 0], ends[:, 1]
 
 

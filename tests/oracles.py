@@ -4,11 +4,15 @@ Everything here recomputes results with plain per-pixel, per-point or
 per-node loops, deliberately avoiding the vectorized production paths.
 """
 
+import math
+
 import numpy as np
+from scipy.spatial import ConvexHull, cKDTree
 
 from sgmap import autodiff as ad
 from sgmap import ssgp
-from sgmap.entity_map import AssociationStrategy
+from sgmap.entity_map import NO_POINT, UNLABELED, AssociationStrategy, ReferenceRender
+from sgmap.geometry import HALF_PI, MIN_EXTENT, Obb, horizontal_basis, project_points
 
 
 def overlap_stats_loops(img, ref_labels, ref_conf):
@@ -376,3 +380,112 @@ def network_loss_per_vector(inputs, weights, targets, layers=None, mode=None):
             rows.append(-ad.mean_all(y * ad.log(p + eps) + (one - y) * ad.log(one - p + eps)))
         total = total + mean(rows)
     return total
+
+
+# -- keyframe path: render, outlier filter, box fit ---------------------------
+
+
+def render_reference_splat(pmap, pose, intrinsics, splat_radius):
+    """Reference render painting one candidate per splat offset: every
+    labeled visible point proposes itself at each of the (2r+1)^2 pixels
+    around its centre; a pixel keeps the least depth, then the least id."""
+    h, w = intrinsics.height, intrinsics.width
+    ref_labels = np.zeros((h, w), dtype=np.int64)
+    ref_conf = np.zeros((h, w), dtype=np.float64)
+    provenance = np.full((h, w), NO_POINT, dtype=np.int64)
+    if len(pmap) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return ReferenceRender(
+            ref_labels, ref_conf, provenance, empty, empty.copy(), empty.copy(), empty.copy()
+        )
+    uv, depth, visible = project_points(pmap.positions, pose, intrinsics)
+    vis_rows = np.floor(uv[visible, 1]).astype(np.int64)
+    vis_cols = np.floor(uv[visible, 0]).astype(np.int64)
+    vis_ids = pmap.ids[visible]
+    vis_labels = pmap.labels[visible]
+    labeled = vis_labels != UNLABELED
+    if labeled.any():
+        rows0 = vis_rows[labeled]
+        cols0 = vis_cols[labeled]
+        ids0 = vis_ids[labeled]
+        labels0 = vis_labels[labeled]
+        weights0 = pmap.weights[visible][labeled]
+        depth0 = depth[visible][labeled]
+        offsets = range(-splat_radius, splat_radius + 1)
+        cand_flat = []
+        cand_src = []
+        for dr in offsets:
+            for dc in offsets:
+                rr = rows0 + dr
+                cc = cols0 + dc
+                ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+                cand_flat.append(rr[ok] * w + cc[ok])
+                cand_src.append(np.nonzero(ok)[0])
+        flat = np.concatenate(cand_flat)
+        src = np.concatenate(cand_src)
+        depth_buf = np.full(h * w, np.inf)
+        np.minimum.at(depth_buf, flat, depth0[src])
+        on_min = depth0[src] == depth_buf[flat]
+        id_buf = np.full(h * w, np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(id_buf, flat[on_min], ids0[src[on_min]])
+        winner = on_min.copy()
+        winner[on_min] = ids0[src[on_min]] == id_buf[flat[on_min]]
+        wf = flat[winner]
+        ws = src[winner]
+        ref_labels.reshape(-1)[wf] = labels0[ws]
+        ref_conf.reshape(-1)[wf] = weights0[ws]
+        provenance.reshape(-1)[wf] = ids0[ws]
+    return ReferenceRender(
+        ref_labels=ref_labels,
+        ref_conf=ref_conf,
+        provenance=provenance,
+        visible_ids=vis_ids,
+        visible_rows=vis_rows,
+        visible_cols=vis_cols,
+        visible_labels=vis_labels,
+    )
+
+
+def outlier_mask_fresh(points, mean_k, std_ratio):
+    """Statistical outlier removal from one full cKDTree query."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(pts) <= mean_k:
+        return np.ones(len(pts), dtype=bool)
+    dists, _ = cKDTree(pts).query(pts, k=mean_k + 1)
+    mean_dists = dists[:, 1:].mean(axis=1)
+    threshold = mean_dists.mean() + std_ratio * mean_dists.std()
+    return mean_dists <= threshold
+
+
+def fit_obb_per_angle(points, gravity):
+    """Gravity-aligned box fit trying one hull edge angle at a time and
+    keeping the first strictly smaller rectangle area."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    h1, h2 = horizontal_basis(gravity)
+    up = gravity.up
+    xy = pts @ np.stack([h1, h2], axis=1)
+    z = pts @ up
+    hp = xy[ConvexHull(xy).vertices]
+    edges = np.roll(hp, -1, axis=0) - hp
+    angles = np.unique(np.mod(np.arctan2(edges[:, 1], edges[:, 0]), HALF_PI))
+    best = None
+    for ang in angles:
+        c, s = math.cos(ang), math.sin(ang)
+        u = hp[:, 0] * c + hp[:, 1] * s
+        v = -hp[:, 0] * s + hp[:, 1] * c
+        area = (u.max() - u.min()) * (v.max() - v.min())
+        if best is None or area < best[0]:
+            best = (area, ang, u.min(), u.max(), v.min(), v.max())
+    _, ang, umin, umax, vmin, vmax = best
+    c, s = math.cos(ang), math.sin(ang)
+    cu = 0.5 * (umin + umax)
+    cv = 0.5 * (vmin + vmax)
+    center = (cu * c - cv * s) * h1 + (cu * s + cv * c) * h2 + 0.5 * (z.min() + z.max()) * up
+    dims = np.array(
+        [
+            max(umax - umin, MIN_EXTENT),
+            max(vmax - vmin, MIN_EXTENT),
+            max(z.max() - z.min(), MIN_EXTENT),
+        ]
+    )
+    return Obb(center=center, dims=dims, yaw=ang)

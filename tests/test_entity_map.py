@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import associate_loops, mean_confidence_loops, random_mask_pair
+from oracles import (
+    associate_loops,
+    mean_confidence_loops,
+    random_mask_pair,
+    render_reference_splat,
+)
 from sgmap.entity_map import (
     AssociationConfig,
     AssociationStrategy,
@@ -98,6 +103,73 @@ class TestRenderReference:
         # the unlabeled point is still tracked for fusion
         assert 3 in render.visible_ids
         assert render.visible_labels[render.visible_ids == 3][0] == 0
+
+    FIELDS = (
+        "ref_labels",
+        "ref_conf",
+        "provenance",
+        "visible_ids",
+        "visible_rows",
+        "visible_cols",
+        "visible_labels",
+    )
+
+    def assert_matches_splat_oracle(self, pmap, radius):
+        got = render_reference(pmap, self.pose, self.K, splat_radius=radius)
+        want = render_reference_splat(pmap, self.pose, self.K, radius)
+        for name in self.FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @staticmethod
+    def random_map(rng, n, labeled_share=0.7):
+        """Points in front of the camera, many beyond the image border, on a
+        few depth planes (equal depths) and some on shared positions, with
+        unique ids in random order."""
+        pos = np.column_stack(
+            [
+                rng.uniform(-3.0, 3.0, n),
+                rng.choice([-0.5, 0.0, 0.25, 1.0], n) + rng.choice([0.0, 0.0, 0.1], n),
+                rng.uniform(-2.5, 2.5, n),
+            ]
+        )
+        dup = rng.random(n) < 0.1
+        pos[dup] = pos[rng.integers(0, n, dup.sum())]
+        pmap = PointMap()
+        pmap.upsert_positions(rng.permutation(10 * n)[:n] + 1, pos)
+        for pid in pmap.ids[rng.random(n) < labeled_share]:
+            pmap.set_point(int(pid), int(rng.integers(1, 5)), float(rng.uniform(0.1, 2.0)))
+        return pmap
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_matches_splat_oracle_on_random_maps(self, radius):
+        rng = np.random.default_rng(40 + radius)
+        for n in (1, 5, 60, 400):
+            self.assert_matches_splat_oracle(self.random_map(rng, n), radius)
+
+    def test_matches_splat_oracle_on_edge_cases(self):
+        rng = np.random.default_rng(3)
+        for radius in range(4):
+            self.assert_matches_splat_oracle(PointMap(), radius)
+            self.assert_matches_splat_oracle(self.random_map(rng, 80, labeled_share=0.0), radius)
+        # centres on the four image borders and in the corners
+        corners = []
+        for u in (0.0, 0.5, 79.5, 159.0, 159.9):
+            for v in (0.0, 0.3, 59.5, 119.0, 119.9):
+                x = (u - self.K.cx) * 2.0 / self.K.fx
+                z = -(v - self.K.cy) * 2.0 / self.K.fy
+                corners.append([x, 0.0, z])
+        pmap = PointMap()
+        pmap.upsert_positions(np.arange(len(corners)) * 7 + 3, np.array(corners))
+        for i, pid in enumerate(pmap.ids):
+            pmap.set_point(int(pid), 1 + i % 3, 0.5 + i)
+        for radius in range(4):
+            self.assert_matches_splat_oracle(pmap, radius)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            render_reference(PointMap(), self.pose, self.K, splat_radius=-1)
 
 
 class TestMeanConfidence:
@@ -363,3 +435,35 @@ class TestFuse:
         assert second.mapping == first.mapping
         np.testing.assert_array_equal(pmap.labels, labels_after_first)
         assert np.all(pmap.weights >= weights_after_first)
+
+
+class TestPointMapIndex:
+    def test_repeated_id_rejected_by_name(self):
+        pmap = PointMap()
+        with pytest.raises(ValueError, match="duplicate point id 5"):
+            pmap.upsert_positions([5, 3, 5], np.zeros((3, 3)))
+        assert len(pmap) == 0
+
+    def test_rows_follow_insertion_and_refresh_in_place(self):
+        pmap = PointMap()
+        pmap.upsert_positions([40, 7, 19], np.arange(9.0).reshape(3, 3))
+        pmap.upsert_positions([19, 2, 40], -np.arange(9.0).reshape(3, 3))
+        np.testing.assert_array_equal(pmap.ids, [40, 7, 19, 2])
+        np.testing.assert_array_equal(pmap.rows_of([2, 40, 7, 19]), [3, 0, 1, 2])
+        np.testing.assert_array_equal(pmap.positions[[2, 3, 0]], -np.arange(9.0).reshape(3, 3))
+        np.testing.assert_array_equal(pmap.positions[1], [3.0, 4.0, 5.0])
+        with pytest.raises(KeyError):
+            pmap.rows_of([2, 8])
+        with pytest.raises(KeyError):
+            pmap.set_point(1000, 1, 1.0)
+
+    def test_snapshot_index_is_independent(self):
+        pmap = PointMap()
+        pmap.upsert_positions([3, 1], np.zeros((2, 3)))
+        snap = pmap.snapshot()
+        pmap.upsert_positions([2], np.ones((1, 3)))
+        assert len(snap) == 2
+        with pytest.raises(KeyError):
+            snap.rows_of([2])
+        snap.set_point(1, 4, 1.0)
+        assert pmap.point(1).label == 0 and snap.point(1).label == 4

@@ -10,7 +10,7 @@ from sgmap.geometry import (
     fit_obb,
     look_at_pose,
     outlier_mask,
-    project,
+    project_points,
     rotation_about_axis,
 )
 from sgmap.graph_extract import (
@@ -171,7 +171,7 @@ class TestBuildVisibility:
         for node in nodes:
             for kf in keyframes:
                 visible = any(
-                    project(p, kf.pose, kf.intrinsics) is not None
+                    project_points(p.reshape(1, 3), kf.pose, kf.intrinsics)[2][0]
                     for p in node.positions
                 )
                 assert ((node.label, kf.id) in graph.edges) == visible

@@ -246,6 +246,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "000000.pose" in err
 
+    def test_repeated_point_id_exits_2_with_context(self, tmp_path, capsys):
+        seq_dir = tmp_path / "seq"
+        synth.generate(synth.desk_scene(seed=5, frames=2), seq_dir)
+        points = seq_dir / "frames" / "000001.points"
+        lines = points.read_text().splitlines()
+        lines.append(lines[0].split(" ", 1)[0] + " 0 0 0")
+        points.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--sequence", str(seq_dir), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"000001.points:{len(lines)}: point id" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_weights_exit_3(self, tmp_path, capsys):

@@ -475,6 +475,18 @@ class TestGruUpdate:
             t.grad = None
 
 
+class TestGraphInputs:
+    @pytest.mark.parametrize("edge", [(0, -1), (0, 2), (2, 0), (-1, 1)])
+    def test_out_of_range_endpoint_rejected(self, edge):
+        with pytest.raises(ValueError, match="outside"):
+            make_graph(n_nodes=2, edges=(edge,))
+
+    def test_in_range_endpoints_accepted(self):
+        inputs = make_graph(n_nodes=2, edges=((0, 1), (1, 0)))
+        np.testing.assert_array_equal(inputs.src, [0, 1])
+        np.testing.assert_array_equal(inputs.dst, [1, 0])
+
+
 class TestForward:
     def test_zero_weights_give_uniform_distributions(self):
         w = zero_weights()

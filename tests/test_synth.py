@@ -6,7 +6,7 @@ import pytest
 
 from sgmap import seqio, synth
 from sgmap.errors import SceneSpecError
-from sgmap.geometry import CameraIntrinsics, look_at_pose, project
+from sgmap.geometry import CameraIntrinsics, look_at_pose, project_points
 from sgmap.synth import NODE_CLASS_NAMES, PREDICATE_NAMES, PrimitiveSpec, SceneSpec
 
 
@@ -116,11 +116,11 @@ class TestGenerate:
         # wherever a point is the nearest at its own pixel, the mask shows
         # its instance
         checked = 0
-        for idx in range(0, len(scene.positions), 37):
-            hit = project(scene.positions[idx], pose, seq.intrinsics)
-            if hit is None:
+        sample = np.arange(0, len(scene.positions), 37)
+        uv, _depth, visible = project_points(scene.positions[sample], pose, seq.intrinsics)
+        for idx, (u, v), seen in zip(sample, uv, visible):
+            if not seen:
                 continue
-            u, v, depth = hit
             label = mask[int(v), int(u)]
             if label == scene.instances[idx]:
                 checked += 1
@@ -238,6 +238,16 @@ class TestSeqIo:
         with pytest.raises(seqio.SequenceFormatError) as err:
             seqio.read_points(path)
         assert "frac.points:2" in str(err.value)
+
+    def test_repeated_point_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.points"
+        # the one-pass reader and the line reader (blank line) both name the
+        # line of the repeat
+        for text, line in (("4 0 0 0\n9 1 1 1\n4 2 2 2\n", 3), ("4 0 0 0\n\n9 1 1 1\n4 2 2 2", 4)):
+            path.write_text(text)
+            with pytest.raises(seqio.SequenceFormatError) as err:
+                seqio.read_points(path)
+            assert f"dup.points:{line}: point id 4 repeats line 1" in str(err.value)
 
     def test_missing_frame_file_reported(self, tmp_path):
         out = tmp_path / "seq"
