@@ -21,6 +21,8 @@ from sgmap.geometry import (
     look_at_pose,
     outlier_mask,
 )
+from sgmap.graph_extract import EntityNode, build_neighbour
+from sgmap.ssgp import edge_geometry_rows
 
 # One entity of about the size a desk-large label has: 745 points, of which
 # a keyframe removes 6 and adds 6.
@@ -88,3 +90,32 @@ def test_upsert_positions(benchmark, keyframe_map):
         return (pmap.snapshot(), ids, positions), {}
 
     benchmark.pedantic(lambda m, i, p: m.upsert_positions(i, p), setup=setup, rounds=200)
+
+
+@pytest.fixture(scope="module")
+def clutter_nodes():
+    """17 entities, as many as the clutter workload has: a floor and a 4x4
+    grid of small boxes, 193 points each on average.  At the stock 0.5 m
+    margin every pair of boxes collides: 272 directed edges, about the 271
+    per back-end tick of that workload."""
+    rng = np.random.default_rng(3)
+    floor = rng.uniform(-1.5, 1.5, size=(600, 3)) * [1.0, 1.0, 0.0]
+    point_sets = [floor]
+    for row in range(4):
+        for col in range(4):
+            side = 0.2 + 0.02 * ((row + col) % 3)
+            center = [-0.45 + 0.3 * col, -0.45 + 0.3 * row, side / 2.0]
+            point_sets.append(rng.uniform(-side / 2, side / 2, size=(168, 3)) + center)
+    return [
+        EntityNode(label=i + 1, point_ids=np.arange(len(p)), positions=p, obb=fit_obb(p))
+        for i, p in enumerate(point_sets)
+    ]
+
+
+def test_neighbour_graph_and_edge_rows(benchmark, clutter_nodes):
+    def edge_stage(nodes):
+        src, dst = build_neighbour(nodes, margin=0.5)
+        return edge_geometry_rows([n.obb for n in nodes], [n.positions for n in nodes], src, dst)
+
+    assert edge_stage(clutter_nodes).shape == (272, 12)
+    benchmark(edge_stage, clutter_nodes)

@@ -44,21 +44,10 @@ class AssociationConfig:
             raise ValueError("theta must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    """Snapshot view of one map point."""
-
-    id: int
-    position: np.ndarray
-    label: int
-    weight: float
-
-
 class PointMap:
     """Id-indexed labeled 3D points with a fresh-label counter.
 
-    Storage is columnar so rendering and fusion stay vectorized; the
-    ``point`` accessor materializes :class:`LabeledPoint` views on demand.
+    Storage is columnar so rendering and fusion stay vectorized.
     The map has a single writer (the fusion step); concurrent readers must
     work on a :meth:`snapshot` taken between fuse calls.
     """
@@ -121,15 +110,6 @@ class PointMap:
         if not known.all():
             raise KeyError(int(ids[np.argmin(known)]))
         return rows
-
-    def point(self, point_id: int) -> LabeledPoint:
-        row = int(self.rows_of(point_id)[0])
-        return LabeledPoint(
-            id=point_id,
-            position=self._positions[row].copy(),
-            label=int(self._labels[row]),
-            weight=float(self._weights[row]),
-        )
 
     def upsert_positions(self, ids: np.ndarray, positions: np.ndarray) -> None:
         """Insert new points (unlabeled, weight 0) or refresh positions of

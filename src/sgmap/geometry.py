@@ -9,6 +9,7 @@ All functions operate on float64 numpy arrays and are pure, except that
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,54 +300,59 @@ def fit_obb(points: np.ndarray, gravity: GravityConfig = DEFAULT_GRAVITY) -> Obb
     return Obb(center=center, dims=dims, yaw=ang)
 
 
-def obb_horizontal_corners(
-    box: Obb, margin: float = 0.0, gravity: GravityConfig = DEFAULT_GRAVITY
+def obb_collide_matrix(
+    boxes: Sequence[Obb], margin: float = 0.0, gravity: GravityConfig = DEFAULT_GRAVITY
 ) -> np.ndarray:
-    """Corners (4, 2) of the margin-inflated horizontal rectangle, expressed
-    in the horizontal basis."""
+    """Symmetric (N, N) matrix, True where two boxes, each extent enlarged by
+    ``2 * margin``, overlap.  The diagonal is True.
+
+    Gravity alignment splits the test into a vertical interval check and a
+    separating-axis test on the two horizontal rectangles: every box's
+    four corners are projected on the two edge directions of every box
+    (one (4, 2) @ (2,) product each), and a pair is apart when one of the
+    four directions of its two boxes separates their projections.
+    Touching boxes count as colliding.
+    """
+    if margin < 0:
+        raise ValueError("margin must be non-negative")
+    centers = np.array([box.center for box in boxes]).reshape(-1, 3)
+    dims = np.array([box.dims for box in boxes]).reshape(-1, 3)
+    cos_sin = np.array([(math.cos(box.yaw), math.sin(box.yaw)) for box in boxes]).reshape(-1, 2)
     h1, h2 = horizontal_basis(gravity)
-    c2 = np.array([np.dot(box.center, h1), np.dot(box.center, h2)])
-    ca, sa = math.cos(box.yaw), math.sin(box.yaw)
-    ax_u = np.array([ca, sa])
-    ax_v = np.array([-sa, ca])
-    hu = 0.5 * box.dims[0] + margin
-    hv = 0.5 * box.dims[1] + margin
-    return np.array(
-        [
-            c2 + hu * ax_u + hv * ax_v,
-            c2 + hu * ax_u - hv * ax_v,
-            c2 - hu * ax_u + hv * ax_v,
-            c2 - hu * ax_u - hv * ax_v,
-        ]
+
+    z = centers @ gravity.up
+    reach = 0.5 * (dims[:, None, 2] + dims[None, :, 2]) + 2.0 * margin
+    overlap = np.abs(z[:, None] - z[None, :]) <= reach
+
+    # axes[n] = the unit directions (u, v) of box n's horizontal edges
+    axes = np.stack([cos_sin, np.stack([-cos_sin[:, 1], cos_sin[:, 0]], axis=1)], axis=1)
+    half_u = (0.5 * dims[:, 0] + margin)[:, None] * axes[:, 0]
+    half_v = (0.5 * dims[:, 1] + margin)[:, None] * axes[:, 1]
+    center = centers @ np.stack([h1, h2], axis=1)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    corners = (
+        center[:, None] + signs[:, :1] * half_u[:, None] + signs[:, 1:] * half_v[:, None]
     )
+    # proj[n, m, t] = box n's corners on direction t of box m, one
+    # (4, 2) @ (2,) matrix product each.  That rounds like the pairwise
+    # reference in tests/oracles.py (an elementwise sum may not), so the
+    # two agree even at exact contact, where the rounding decides.
+    proj = np.matmul(corners[:, None, None], axes[None, :, :, :, None])[..., 0]
+    hi, lo = proj.max(axis=3), proj.min(axis=3)
+    own = np.arange(len(centers))
+    own_hi, own_lo = hi[own, own][:, None], lo[own, own][:, None]
+    # [n, m, t]: box m on direction t of box n
+    other_hi, other_lo = hi.transpose(1, 0, 2), lo.transpose(1, 0, 2)
+    apart = ((own_hi < other_lo) | (other_hi < own_lo)).any(axis=2)
+    return overlap & ~apart & ~apart.T
 
 
 def obb_collide(
     a: Obb, b: Obb, margin: float = 0.0, gravity: GravityConfig = DEFAULT_GRAVITY
 ) -> bool:
-    """True when the boxes, each extent enlarged by ``2 * margin``, overlap.
-
-    Gravity alignment splits the test into a vertical interval check and a
-    separating-axis test on the two horizontal rectangles (4 candidate
-    axes).  Touching boxes count as colliding.
-    """
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    up = gravity.up
-    za = float(np.dot(a.center, up))
-    zb = float(np.dot(b.center, up))
-    if abs(za - zb) > 0.5 * (a.dims[2] + b.dims[2]) + 2.0 * margin:
-        return False
-    ca = obb_horizontal_corners(a, margin, gravity)
-    cb = obb_horizontal_corners(b, margin, gravity)
-    for yaw in (a.yaw, b.yaw):
-        c, s = math.cos(yaw), math.sin(yaw)
-        for axis in (np.array([c, s]), np.array([-s, c])):
-            pa = ca @ axis
-            pb = cb @ axis
-            if pa.max() < pb.min() or pb.max() < pa.min():
-                return False
-    return True
+    """True when the boxes, each extent enlarged by ``2 * margin``, overlap
+    (see :func:`obb_collide_matrix`)."""
+    return bool(obb_collide_matrix([a, b], margin, gravity)[0, 1])
 
 
 def obb_contains(

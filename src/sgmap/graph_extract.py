@@ -1,5 +1,5 @@
-"""Keyframe selection and extraction of entity, visibility, and neighbour
-graphs from point-map snapshots.
+"""Keyframe selection, entity extraction from point-map snapshots, and the
+neighbour graph over the extracted entities.
 
 Extraction is meant to run on immutable snapshots taken between fusion
 steps; everything here is a pure function of its inputs, except that
@@ -9,7 +9,7 @@ steps; everything here is a pure function of its inputs, except that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +24,8 @@ from .geometry import (
     Obb,
     RigidPose,
     fit_obb,
-    obb_collide,
+    obb_collide_matrix,
     outlier_mask,
-    project_points,
 )
 
 DEFAULT_ROT_THRESH_DEG = 5.0
@@ -53,44 +52,6 @@ class EntityNode:
     point_ids: np.ndarray
     positions: np.ndarray
     obb: Obb
-
-
-@dataclass
-class VisibilityGraph:
-    """Bipartite entity-keyframe visibility edges with one witness point."""
-
-    witnesses: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    @property
-    def edges(self) -> set[tuple[int, int]]:
-        return set(self.witnesses)
-
-    def views_of(self, label: int) -> list[int]:
-        return sorted(kf for (lbl, kf) in self.witnesses if lbl == label)
-
-
-@dataclass
-class NeighbourGraph:
-    """Undirected proximity edges over entity labels."""
-
-    edges: set[tuple[int, int]] = field(default_factory=set)
-
-    def add(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("self edges are not allowed")
-        self.edges.add((min(a, b), max(a, b)))
-
-    def neighbours(self, label: int) -> list[int]:
-        out = [b if a == label else a for (a, b) in self.edges if label in (a, b)]
-        return sorted(out)
-
-    def directed_edges(self) -> list[tuple[int, int]]:
-        """Both orientations of every undirected edge, sorted."""
-        out = []
-        for a, b in self.edges:
-            out.append((a, b))
-            out.append((b, a))
-        return sorted(out)
 
 
 def rotation_angle_deg(a: RigidPose, b: RigidPose) -> float:
@@ -180,56 +141,14 @@ def extract_entity(
     )
 
 
-def extract_entities(
-    snapshot: PointMap,
-    min_points: int = DEFAULT_MIN_POINTS,
-    mean_k: int = geometry.DEFAULT_MEAN_K,
-    std_ratio: float = geometry.DEFAULT_STD_RATIO,
-    gravity: GravityConfig = DEFAULT_GRAVITY,
-) -> list[EntityNode]:
-    """Group snapshot points by label, filter outliers, and fit boxes.
-
-    Labels with fewer than ``min_points`` points, or whose filtered points
-    are too degenerate to box, are skipped.  Output is ordered by
-    ascending label.
-    """
-    nodes: list[EntityNode] = []
-    for label in snapshot.labels_in_use():
-        node = extract_entity(
-            snapshot,
-            int(label),
-            min_points=min_points,
-            mean_k=mean_k,
-            std_ratio=std_ratio,
-            gravity=gravity,
-        )
-        if node is not None:
-            nodes.append(node)
-    return nodes
-
-
-def build_visibility(nodes: list[EntityNode], keyframes: list[Keyframe]) -> VisibilityGraph:
-    """Edge (label, keyframe) whenever any node point projects into the
-    keyframe; the witness is the lowest-id visible point."""
-    graph = VisibilityGraph()
-    for node in nodes:
-        for kf in keyframes:
-            _, _, visible = project_points(node.positions, kf.pose, kf.intrinsics)
-            if visible.any():
-                vis_ids = node.point_ids[visible]
-                graph.witnesses[(node.label, kf.id)] = int(vis_ids.min())
-    return graph
-
-
 def build_neighbour(
     nodes: list[EntityNode],
     margin: float = DEFAULT_NEIGHBOUR_MARGIN,
     gravity: GravityConfig = DEFAULT_GRAVITY,
-) -> NeighbourGraph:
-    """Undirected edge between every pair of margin-inflated colliding boxes."""
-    graph = NeighbourGraph()
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if obb_collide(a.obb, b.obb, margin, gravity):
-                graph.add(a.label, b.label)
-    return graph
+) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edges ``(src, dst)`` between the nodes whose margin-inflated
+    boxes collide, as index arrays into ``nodes``: both orientations of
+    every colliding pair, sorted by ``(src, dst)``."""
+    hit = obb_collide_matrix([node.obb for node in nodes], margin, gravity)
+    np.fill_diagonal(hit, False)
+    return np.nonzero(hit)

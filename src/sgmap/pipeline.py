@@ -29,7 +29,6 @@ from .evaluation import (
     GroundTruth,
     PredictedGraph,
     aos,
-    aos_summed_ratios,
     map_segments,
     recall_suite,
 )
@@ -49,12 +48,11 @@ from .ssgp import (
     NetworkConfig,
     NetworkWeights,
     PatchImageFeatureProvider,
-    edge_geometry_vector,
+    edge_geometry_rows,
     forward,
     init_weights,
     load_weights,
     normalize_points,
-    rel_pose_descriptor,
 )
 from .synth import NODE_CLASS_NAMES, PREDICATE_NAMES
 
@@ -329,25 +327,18 @@ class IncrementalPipeline:
         if not usable:
             return
 
-        neighbour = build_neighbour(usable, margin=self.config.rho, gravity=self._gravity)
-        index_of = {node.label: i for i, node in enumerate(usable)}
-        edges = [
-            (index_of[a], index_of[b])
-            for (a, b) in neighbour.directed_edges()
-            if a in index_of and b in index_of
-        ]
-        geo_rows = []
-        for (i, j) in edges:
-            a, b = usable[i], usable[j]
-            descriptor = rel_pose_descriptor(
-                a.obb, b.obb, a.positions, b.positions, self._gravity
-            )
-            geo_rows.append(edge_geometry_vector(a.obb, b.obb, descriptor))
+        src, dst = build_neighbour(usable, margin=self.config.rho, gravity=self._gravity)
         inputs = GraphInputs(
             node_labels=tuple(node.label for node in usable),
             node_points=[normalize_points(node.positions, node.obb) for node in usable],
-            edges=edges,
-            edge_geometry=np.asarray(geo_rows).reshape(len(edges), 12),
+            edges=np.stack([src, dst], axis=1),
+            edge_geometry=edge_geometry_rows(
+                [node.obb for node in usable],
+                [node.positions for node in usable],
+                src,
+                dst,
+                self._gravity,
+            ),
             node_features=np.stack([self.views[node.label].value() for node in usable]),
         )
         result = forward(inputs, self.weights)
@@ -504,9 +495,6 @@ def evaluate_against_gt(
     metrics: dict[str, float] = {}
     if len(est_positions) and len(gt_positions):
         metrics["aos"] = aos(est_positions, est_labels, gt.points, gt.instances)
-        metrics["aos_summed_ratios"] = aos_summed_ratios(
-            est_positions, est_labels, gt.points, gt.instances
-        )
         mapping = map_segments(est_positions, est_labels, gt.points, gt.instances)
         pred = PredictedGraph(
             node_probs={

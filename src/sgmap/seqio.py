@@ -139,12 +139,13 @@ def write_points(path, ids: np.ndarray, positions: np.ndarray) -> None:
 def read_points(path) -> tuple[np.ndarray, np.ndarray]:
     """Point ids (int64, parsed as integers) and (N, 3) positions.
 
-    Every non-blank line must hold exactly ``id x y z``, and no id may
-    repeat.  The common case is parsed in one pass: each newline becomes a
-    ``;`` token, so a file whose lines all have four fields has ``;`` at
-    every fifth token and nowhere else (a stray ``;`` fails to parse as a
-    number), and point i sits on line i + 1.  Anything else is read line by
-    line, which raises with the offending line.
+    Every non-blank line must hold exactly ``id x y z`` with finite
+    coordinates, and no id may repeat.  The common case is parsed in one
+    pass: each newline becomes a ``;`` token, so a file whose lines all
+    have four fields has ``;`` at every fifth token and nowhere else (a
+    stray ``;`` fails to parse as a number), and point i sits on line
+    i + 1.  Anything else is read line by line, which raises with the
+    offending line.
     """
     text = Path(path).read_text()
     tokens = text.replace("\n", " ; ").split()
@@ -157,8 +158,9 @@ def read_points(path) -> tuple[np.ndarray, np.ndarray]:
         except (ValueError, OverflowError):
             pass  # fall through to the line-accurate path
         else:
-            _reject_repeated_ids(path, ids)
-            return ids, np.ascontiguousarray(positions.T)
+            positions = np.ascontiguousarray(positions.T)
+            _reject_bad_points(path, ids, positions)
+            return ids, positions
     return _read_points_by_line(path, text)
 
 
@@ -181,18 +183,28 @@ def _read_points_by_line(path, text: str) -> tuple[np.ndarray, np.ndarray]:
             raise SequenceFormatError(f"{path}:{lineno}: {exc}") from exc
         linenos.append(lineno)
     ids_arr = np.array(ids, dtype=np.int64)
-    _reject_repeated_ids(path, ids_arr, np.array(linenos, dtype=np.int64))
-    return ids_arr, np.array(positions, dtype=np.float64).reshape(-1, 3)
+    positions_arr = np.array(positions, dtype=np.float64).reshape(-1, 3)
+    _reject_bad_points(path, ids_arr, positions_arr, np.array(linenos, dtype=np.int64))
+    return ids_arr, positions_arr
 
 
-def _reject_repeated_ids(path, ids: np.ndarray, linenos: np.ndarray | None = None) -> None:
-    """Raise at the first line whose point id an earlier line already has;
-    ``linenos`` defaults to point i on line i + 1."""
+def _reject_bad_points(
+    path, ids: np.ndarray, positions: np.ndarray, linenos: np.ndarray | None = None
+) -> None:
+    """Raise at the first line with a non-finite coordinate, then at the
+    first line whose point id an earlier line already has; ``linenos``
+    defaults to point i on line i + 1."""
+    if linenos is None:
+        linenos = np.arange(1, len(ids) + 1)
+    finite = np.isfinite(positions).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise SequenceFormatError(
+            f"{path}:{linenos[bad]}: point {ids[bad]} has a non-finite coordinate"
+        )
     ordered = np.sort(ids)
     if not np.any(ordered[1:] == ordered[:-1]):
         return
-    if linenos is None:
-        linenos = np.arange(1, len(ids) + 1)
     _, first_seen = np.unique(ids, return_index=True)
     repeat = np.setdiff1d(np.arange(len(ids)), first_seen)[0]
     earlier = int(np.argmax(ids == ids[repeat]))
@@ -335,13 +347,18 @@ def read_dot(path) -> tuple[list[tuple[int, str]], list[tuple[int, int, str]]]:
 
 @dataclass
 class SequenceFrame:
-    """Lazy handle to one frame's files."""
+    """Lazy handle to one frame's files.
+
+    A label or confidence raster whose shape differs from ``shape``
+    (height, width), the intrinsics' image size, is rejected as it is read.
+    """
 
     index: int
     pose_path: Path
     points_path: Path
     labels_path: Path
     conf_path: Path
+    shape: tuple[int, int]
     feat_path: Path | None = None
 
     def pose(self) -> RigidPose:
@@ -351,10 +368,19 @@ class SequenceFrame:
         return read_points(self.points_path)
 
     def labels(self) -> np.ndarray:
-        return read_pgm16(self.labels_path)
+        return self._raster(self.labels_path)
 
     def confidence(self) -> np.ndarray:
-        return pgm_to_confidence(read_pgm16(self.conf_path))
+        return pgm_to_confidence(self._raster(self.conf_path))
+
+    def _raster(self, path: Path) -> np.ndarray:
+        raster = read_pgm16(path)
+        if raster.shape != self.shape:
+            (height, width), (want_h, want_w) = raster.shape, self.shape
+            raise SequenceFormatError(
+                f"{path}: raster is {width}x{height}, the intrinsics give {want_w}x{want_h}"
+            )
+        return raster
 
     def features(self) -> dict[int, np.ndarray] | None:
         if self.feat_path is None:
@@ -408,6 +434,7 @@ def read_sequence(root) -> Sequence:
             points_path=frames_dir / f"{stem}.points",
             labels_path=frames_dir / f"{stem}.labels.pgm",
             conf_path=frames_dir / f"{stem}.conf.pgm",
+            shape=(intrinsics.height, intrinsics.width),
         )
         for required in (frame.points_path, frame.labels_path, frame.conf_path):
             if not required.exists():

@@ -22,6 +22,7 @@ differentiable for gradient checks and small-scale training.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -282,27 +283,93 @@ def normalize_points(points: np.ndarray, obb: Obb) -> np.ndarray:
     return (pts - obb.center) / float(obb.dims.max())
 
 
-def _pair_frame(
-    center_i: np.ndarray,
-    center_j: np.ndarray,
-    gravity: GravityConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def edge_geometry_rows(
+    boxes: Sequence[Obb],
+    point_sets: Sequence[np.ndarray],
+    src,
+    dst,
+    gravity: GravityConfig = DEFAULT_GRAVITY,
+    eps_div: float = EPS_DIV,
+    eps_log: float = EPS_LOG,
+) -> np.ndarray:
+    """(E, 12) rows [center offset, extent difference, pose descriptor] of
+    the directed edges ``src[e] -> dst[e]`` between boxed point sets.
+
+    The pose descriptor holds six log-absolute ratios of the two entities'
+    extrema in a pair frame.  The frame sits at the midpoint of the two box
+    centers with y along up and x along the horizontal direction toward
+    the second entity, which makes the descriptor invariant to global
+    translation and rotation about up; ratios additionally cancel uniform
+    scaling.  Divisors are clamped to sign-preserving magnitude >=
+    ``eps_div``.
+    """
+    src = np.asarray(src, dtype=np.intp).reshape(-1)
+    dst = np.asarray(dst, dtype=np.intp).reshape(-1)
+    sets = [np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in point_sets]
+    sizes = np.array([len(p) for p in sets], dtype=np.intp)
+    if np.any(sizes[src] == 0) or np.any(sizes[dst] == 0):
+        raise EmptyPointSet("relative pose descriptor needs points on both sides")
+    centers = np.array([box.center for box in boxes]).reshape(-1, 3)
+    dims = np.array([box.dims for box in boxes]).reshape(-1, 3)
+    offset = centers[dst] - centers[src]
+
     up = gravity.up
-    origin = 0.5 * (center_i + center_j)
-    dx = center_j - center_i
-    x = dx - np.dot(dx, up) * up
-    norm = np.linalg.norm(x)
-    if norm < 1e-9:
+    x = offset - (offset @ up)[:, None] * up
+    norm = np.linalg.norm(x, axis=1)
+    stacked = norm < 1e-9
+    if stacked.any():
         # Vertically stacked or coincident centers: fall back to a world
         # axis projected into the horizontal plane.
         for axis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-            x = axis - np.dot(axis, up) * up
-            norm = np.linalg.norm(x)
-            if norm >= 1e-9:
+            fallback = axis - np.dot(axis, up) * up
+            if np.linalg.norm(fallback) >= 1e-9:
                 break
-    x = x / norm
-    z = np.cross(x, up)
-    return origin, x, up, z
+        x[stacked] = fallback
+        norm[stacked] = np.linalg.norm(fallback)
+    x = x / norm[:, None]
+    frame = np.stack([x, np.broadcast_to(up, x.shape), np.cross(x, up)], axis=1)
+    origin = 0.5 * (centers[src] + centers[dst])
+
+    coords = np.concatenate([np.empty((0, 3)), *sets]).T.copy()
+    first = np.cumsum(sizes) - sizes
+    num = _frame_extrema(coords, first[src], sizes[src], origin, frame)
+    den = _frame_extrema(coords, first[dst], sizes[dst], origin, frame)
+    sign = np.where(den >= 0.0, 1.0, -1.0)
+    den = sign * np.maximum(np.abs(den), eps_div)
+    descriptor = np.log(np.abs(num / den) + eps_log)
+    return np.concatenate([offset, dims[dst] - dims[src], descriptor], axis=1)
+
+
+def _frame_extrema(
+    coords: np.ndarray,
+    first: np.ndarray,
+    count: np.ndarray,
+    origin: np.ndarray,
+    frame: np.ndarray,
+) -> np.ndarray:
+    """(E, 6): per edge e, the maxima then minima of the points in columns
+    ``first[e]`` to ``first[e] + count[e]`` of ``coords`` (3, P) along the
+    three axes ``frame[e]`` (3, 3), measured from ``origin[e]``.
+
+    The edges' points are laid end to end, one coordinate row at a time,
+    and each axis is projected as a sum over those rows, so no per-point
+    copy of a frame is made.
+    """
+    starts = np.cumsum(count) - count
+    columns = np.repeat(first - starts, count)
+    columns += np.arange(len(columns))
+    rel = coords.take(columns, axis=1)
+    del columns
+    for c in range(3):
+        rel[c] -= np.repeat(origin[:, c], count)
+    out = np.empty((len(count), 6))
+    for k in range(3):
+        q = rel[0] * np.repeat(frame[:, k, 0], count)
+        for c in (1, 2):
+            q += rel[c] * np.repeat(frame[:, k, c], count)
+        out[:, k] = np.maximum.reduceat(q, starts)
+        out[:, k + 3] = np.minimum.reduceat(q, starts)
+    return out
 
 
 def rel_pose_descriptor(
@@ -314,35 +381,12 @@ def rel_pose_descriptor(
     eps_div: float = EPS_DIV,
     eps_log: float = EPS_LOG,
 ) -> np.ndarray:
-    """Six log-absolute ratios of the two entities' extrema in a pair frame.
-
-    The frame sits at the midpoint of the two box centers with y along up
-    and x along the horizontal direction toward the second entity, which
-    makes the descriptor invariant to global translation and rotation
-    about up; ratios additionally cancel uniform scaling.  Divisors are
-    clamped to sign-preserving magnitude >= ``eps_div``.
-    """
-    pi = np.asarray(points_i, dtype=np.float64).reshape(-1, 3)
-    pj = np.asarray(points_j, dtype=np.float64).reshape(-1, 3)
-    if len(pi) == 0 or len(pj) == 0:
-        raise EmptyPointSet("relative pose descriptor needs points on both sides")
-    origin, x, y, z = _pair_frame(obb_i.center, obb_j.center, gravity)
-    basis = np.stack([x, y, z], axis=1)
-    qi = (pi - origin) @ basis
-    qj = (pj - origin) @ basis
-    num = np.concatenate([qi.max(axis=0), qi.min(axis=0)])
-    den = np.concatenate([qj.max(axis=0), qj.min(axis=0)])
-    sign = np.where(den >= 0.0, 1.0, -1.0)
-    den = sign * np.maximum(np.abs(den), eps_div)
-    return np.log(np.abs(num / den) + eps_log)
-
-
-def edge_geometry_vector(obb_i: Obb, obb_j: Obb, descriptor: np.ndarray) -> np.ndarray:
-    """Concatenated [center offset, extent difference, pose descriptor]."""
-    vec = np.concatenate([obb_j.center - obb_i.center, obb_j.dims - obb_i.dims, descriptor])
-    if vec.shape != (EDGE_GEOMETRY_DIM,):
-        raise ShapeError(f"edge geometry vector has shape {vec.shape}")
-    return vec
+    """The six-value pose descriptor of the one edge i -> j (see
+    :func:`edge_geometry_rows`)."""
+    rows = edge_geometry_rows(
+        [obb_i, obb_j], [points_i, points_j], [0], [1], gravity, eps_div, eps_log
+    )
+    return rows[0, 6:]
 
 
 # -- network blocks (differentiable) -----------------------------------
@@ -433,7 +477,9 @@ def gru_update(h: Tensor, x: Tensor, weights: NetworkWeights, cell: str) -> Tens
 @dataclass
 class GraphInputs:
     """One prediction snapshot: per-node features (either projected vectors
-    or raw patches), normalized point sets, and directed edge geometry.
+    or raw patches), normalized point sets, and directed edges: ``edges``
+    holds (E, 2) node-index pairs (an array or a list of pairs) and
+    ``edge_geometry`` their (E, 12) rows.
 
     Construction also stacks them for the network: ``points`` (P, 3) holds
     every node's points in node order and ``point_node`` (P,) the node of
@@ -442,7 +488,7 @@ class GraphInputs:
 
     node_labels: tuple[int, ...]
     node_points: list[np.ndarray]
-    edges: list[tuple[int, int]]
+    edges: np.ndarray | list[tuple[int, int]]
     edge_geometry: np.ndarray
     node_features: np.ndarray | None = None
     node_patches: np.ndarray | None = None

@@ -489,3 +489,44 @@ def fit_obb_per_angle(points, gravity):
         ]
     )
     return Obb(center=center, dims=dims, yaw=ang)
+
+
+def _horizontal_corners(box, margin, gravity):
+    """Corners (4, 2) of the margin-inflated horizontal rectangle, in the
+    horizontal basis."""
+    h1, h2 = horizontal_basis(gravity)
+    c2 = np.array([np.dot(box.center, h1), np.dot(box.center, h2)])
+    ca, sa = math.cos(box.yaw), math.sin(box.yaw)
+    ax_u = np.array([ca, sa])
+    ax_v = np.array([-sa, ca])
+    hu = 0.5 * box.dims[0] + margin
+    hv = 0.5 * box.dims[1] + margin
+    return np.array(
+        [
+            c2 + hu * ax_u + hv * ax_v,
+            c2 + hu * ax_u - hv * ax_v,
+            c2 - hu * ax_u + hv * ax_v,
+            c2 - hu * ax_u - hv * ax_v,
+        ]
+    )
+
+
+def obb_collide_pairwise(a, b, margin, gravity):
+    """Separating-axis test of one pair of gravity-aligned boxes: a vertical
+    interval check, then the four edge directions of the two horizontal
+    rectangles one at a time."""
+    up = gravity.up
+    za = float(np.dot(a.center, up))
+    zb = float(np.dot(b.center, up))
+    if abs(za - zb) > 0.5 * (a.dims[2] + b.dims[2]) + 2.0 * margin:
+        return False
+    ca = _horizontal_corners(a, margin, gravity)
+    cb = _horizontal_corners(b, margin, gravity)
+    for yaw in (a.yaw, b.yaw):
+        c, s = math.cos(yaw), math.sin(yaw)
+        for axis in (np.array([c, s]), np.array([-s, c])):
+            pa = ca @ axis
+            pb = cb @ axis
+            if pa.max() < pb.min() or pb.max() < pa.min():
+                return False
+    return True

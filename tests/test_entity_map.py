@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,12 @@ def single_point_map(positions_labels_weights):
         if lbl:
             pmap.set_point(int(pid), lbl, w)
     return pmap
+
+
+def point_state(pmap, point_id):
+    """(label, weight) of one map point, as attributes."""
+    row = int(pmap.rows_of(point_id)[0])
+    return SimpleNamespace(label=int(pmap.labels[row]), weight=float(pmap.weights[row]))
 
 
 class TestRenderReference:
@@ -350,7 +358,7 @@ class TestFuse:
         consistent[60, 80] = observed
         conf[60, 80] = conf_value
         fuse(pmap, consistent, conf, render)
-        return pmap.point(1)
+        return point_state(pmap, 1)
 
     def test_agreement_adds_confidence(self):
         point = self.run_single_point(5, 0.5, observed=5, conf_value=0.3)
@@ -466,4 +474,4 @@ class TestPointMapIndex:
         with pytest.raises(KeyError):
             snap.rows_of([2])
         snap.set_point(1, 4, 1.0)
-        assert pmap.point(1).label == 0 and snap.point(1).label == 4
+        assert point_state(pmap, 1).label == 0 and point_state(snap, 1).label == 4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import fit_obb_per_angle, outlier_mask_fresh
+from oracles import fit_obb_per_angle, obb_collide_pairwise, outlier_mask_fresh
 from sgmap.errors import DegenerateGeometry, EmptyPointSet
 from sgmap.geometry import (
     CameraIntrinsics,
@@ -16,6 +16,7 @@ from sgmap.geometry import (
     horizontal_basis,
     look_at_pose,
     obb_collide,
+    obb_collide_matrix,
     obb_contains,
     outlier_mask,
     project_points,
@@ -364,6 +365,55 @@ class TestObbCollide:
         assert obb_collide(a, b, margin=0.0)
         c = Obb(center=[0, 1.6, 0], dims=[2.0, 0.2, 1.0], yaw=0.0)
         assert not obb_collide(a, c, margin=0.0)
+
+    @staticmethod
+    def assert_matches_pairwise_oracle(boxes, margin, gravity):
+        got = obb_collide_matrix(boxes, margin, gravity)
+        assert got.shape == (len(boxes), len(boxes))
+        for i, a in enumerate(boxes):
+            for j, b in enumerate(boxes):
+                expected = obb_collide_pairwise(a, b, margin, gravity)
+                assert got[i, j] == expected, (i, j)
+                assert obb_collide(a, b, margin, gravity) == expected
+
+    def test_matrix_matches_pairwise_oracle_on_random_boxes(self):
+        rng = np.random.default_rng(31)
+        for up in ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.48, 0.6, 0.64]):
+            gravity = GravityConfig(up=np.array(up))
+            for margin in (0.0, 0.01, 0.5):
+                boxes = [
+                    Obb(rng.uniform(-2, 2, 3), rng.uniform(0.2, 1.5, 3), rng.uniform(-3, 3))
+                    for _ in range(12)
+                ]
+                self.assert_matches_pairwise_oracle(boxes, margin, gravity)
+
+    def test_matrix_matches_pairwise_oracle_at_exact_contact(self):
+        # unit cubes on an integer grid touch their face, edge and corner
+        # neighbours exactly; yawed face-to-face pairs sit at contact up to
+        # rounding, so the two tests must round alike to agree
+        grid = [[i, j, k] for i in range(3) for j in range(3) for k in range(2)]
+        for yaw in (0.0, HALF_PI, 0.3):
+            boxes = [Obb(center, [1.0, 1.0, 1.0], yaw) for center in grid]
+            self.assert_matches_pairwise_oracle(boxes, 0.0, GravityConfig())
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            yaw = rng.uniform(0, HALF_PI)
+            margin = float(rng.choice([0.0, 0.01, 0.25]))
+            dims_a, dims_b = rng.uniform(0.2, 1.5, 3), rng.uniform(0.2, 1.5, 3)
+            gap = 0.5 * dims_a[0] + 0.5 * dims_b[0] + 2.0 * margin
+            a = Obb(rng.uniform(-2, 2, 3), dims_a, yaw)
+            b = Obb(a.center + gap * np.array([math.cos(yaw), math.sin(yaw), 0.0]), dims_b, yaw)
+            self.assert_matches_pairwise_oracle([a, b], margin, GravityConfig())
+
+    def test_matrix_of_no_and_one_box(self):
+        assert obb_collide_matrix([]).shape == (0, 0)
+        box = Obb([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0)
+        np.testing.assert_array_equal(obb_collide_matrix([box]), [[True]])
+
+    def test_negative_margin_rejected(self):
+        box = Obb([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.0)
+        with pytest.raises(ValueError):
+            obb_collide_matrix([box, box], margin=-0.1)
 
 
 class TestProjection:

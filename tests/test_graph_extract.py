@@ -2,28 +2,25 @@ import math
 
 import numpy as np
 
+from oracles import obb_collide_pairwise
 from sgmap.entity_map import PointMap
 from sgmap.geometry import (
-    CameraIntrinsics,
+    GravityConfig,
     Obb,
     RigidPose,
     fit_obb,
     look_at_pose,
     outlier_mask,
-    project_points,
     rotation_about_axis,
 )
 from sgmap.graph_extract import (
-    Keyframe,
+    EntityNode,
     build_neighbour,
-    build_visibility,
-    extract_entities,
+    extract_entity,
     mask_boxes,
     rotation_angle_deg,
     select_keyframe,
 )
-
-K = CameraIntrinsics(fx=100, fy=100, cx=80, cy=60, width=160, height=120)
 
 
 def pose_at(eye, target=(0.0, 0.0, 0.0)):
@@ -100,20 +97,21 @@ def populated_map():
 
 class TestExtractEntities:
     def test_small_labels_dropped_and_order_ascending(self):
-        nodes = extract_entities(populated_map(), min_points=10)
-        assert [n.label for n in nodes] == [1, 2]
+        pmap = populated_map()
+        nodes = [extract_entity(pmap, label, min_points=10) for label in pmap.labels_in_use()]
+        assert [node.label if node else None for node in nodes] == [1, 2, None]
 
     def test_obb_matches_direct_fit_of_filtered_points(self):
         pmap = populated_map()
-        nodes = extract_entities(pmap, min_points=10, mean_k=8, std_ratio=2.0)
+        node = extract_entity(pmap, 1, min_points=10, mean_k=8, std_ratio=2.0)
         rows = pmap.label_rows(1)
         pts = pmap.positions[rows]
         keep = outlier_mask(pts, mean_k=8, std_ratio=2.0)
         expected = fit_obb(pts[keep])
-        got = nodes[0].obb
-        np.testing.assert_allclose(got.center, expected.center)
-        np.testing.assert_allclose(got.dims, expected.dims)
-        assert got.yaw == expected.yaw
+        np.testing.assert_allclose(node.obb.center, expected.center)
+        np.testing.assert_allclose(node.obb.dims, expected.dims)
+        assert node.obb.yaw == expected.yaw
+        np.testing.assert_array_equal(node.point_ids, pmap.ids[rows][keep])
 
     def test_deterministic_under_point_id_permutation(self):
         rng = np.random.default_rng(5)
@@ -126,95 +124,71 @@ class TestExtractEntities:
         for pmap in (a, b):
             for pid in range(1, 31):
                 pmap.set_point(pid, 4, 1.0)
-        na = extract_entities(a, min_points=5)[0]
-        nb = extract_entities(b, min_points=5)[0]
+        na = extract_entity(a, 4, min_points=5)
+        nb = extract_entity(b, 4, min_points=5)
         np.testing.assert_allclose(na.obb.center, nb.obb.center)
         np.testing.assert_allclose(na.obb.dims, nb.obb.dims)
         assert sorted(na.point_ids) == sorted(nb.point_ids)
 
     def test_empty_map(self):
-        assert extract_entities(PointMap()) == []
+        assert extract_entity(PointMap(), 1) is None
 
 
-class TestBuildVisibility:
-    def test_single_keyframe_edge(self):
-        nodes = extract_entities(populated_map(), min_points=10)
-        kf = Keyframe(id=0, pose=pose_at([0, -2, 0]), intrinsics=K)
-        graph = build_visibility(nodes, [kf])
-        assert (1, 0) in graph.edges
-        witness = graph.witnesses[(1, 0)]
-        assert witness in nodes[0].point_ids
-
-    def test_node_behind_camera_isolated(self):
-        nodes = extract_entities(populated_map(), min_points=10)
-        kf = Keyframe(id=3, pose=pose_at([0, -2, 0], target=[0, -4, 0]), intrinsics=K)
-        graph = build_visibility(nodes, [kf])
-        assert graph.edges == set()
-
-    def test_matches_per_point_projection_oracle(self):
-        rng = np.random.default_rng(9)
-        pmap = PointMap()
-        pid = 1
-        for label in range(1, 11):
-            pts = rng.normal(scale=0.3, size=(12, 3)) + rng.uniform(-2, 2, size=3)
-            ids = np.arange(pid, pid + 12)
-            pmap.upsert_positions(ids, pts)
-            for i in ids:
-                pmap.set_point(int(i), label, 1.0)
-            pid += 12
-        nodes = extract_entities(pmap, min_points=3)
-        keyframes = [
-            Keyframe(id=k, pose=pose_at(rng.uniform(-4, 4, size=3)), intrinsics=K)
-            for k in range(5)
-        ]
-        graph = build_visibility(nodes, keyframes)
-        for node in nodes:
-            for kf in keyframes:
-                visible = any(
-                    project_points(p.reshape(1, 3), kf.pose, kf.intrinsics)[2][0]
-                    for p in node.positions
-                )
-                assert ((node.label, kf.id) in graph.edges) == visible
+def node_with_box(label, center, dims=(1.0, 1.0, 1.0), yaw=0.0):
+    return EntityNode(
+        label=label,
+        point_ids=np.array([label]),
+        positions=np.asarray(center, dtype=float).reshape(1, 3),
+        obb=Obb(center=center, dims=dims, yaw=yaw),
+    )
 
 
 class TestBuildNeighbour:
-    @staticmethod
-    def node_with_box(label, center, dims=(1.0, 1.0, 1.0)):
-        from sgmap.graph_extract import EntityNode
-
-        return EntityNode(
-            label=label,
-            point_ids=np.array([label]),
-            positions=np.asarray(center, dtype=float).reshape(1, 3),
-            obb=Obb(center=center, dims=dims, yaw=0.0),
-        )
-
     def test_margin_bridges_small_gap(self):
-        a = self.node_with_box(1, [0.0, 0.0, 0.0])
-        b = self.node_with_box(2, [1.9, 0.0, 0.0])  # gap 0.9
-        graph = build_neighbour([a, b], margin=0.5)
-        assert graph.edges == {(1, 2)}
-        assert graph.neighbours(1) == [2]
-        assert graph.directed_edges() == [(1, 2), (2, 1)]
+        a = node_with_box(1, [0.0, 0.0, 0.0])
+        b = node_with_box(2, [1.9, 0.0, 0.0])  # gap 0.9
+        src, dst = build_neighbour([a, b], margin=0.5)
+        assert src.tolist() == [0, 1] and dst.tolist() == [1, 0]
 
     def test_far_boxes_no_edge(self):
-        a = self.node_with_box(1, [0.0, 0.0, 0.0])
-        b = self.node_with_box(2, [4.0, 0.0, 0.0])
-        assert build_neighbour([a, b], margin=0.5).edges == set()
+        a = node_with_box(1, [0.0, 0.0, 0.0])
+        b = node_with_box(2, [4.0, 0.0, 0.0])
+        src, dst = build_neighbour([a, b], margin=0.5)
+        assert len(src) == 0 and len(dst) == 0
+
+    def test_no_and_one_node(self):
+        for nodes in ([], [node_with_box(1, [0.0, 0.0, 0.0])]):
+            src, dst = build_neighbour(nodes)
+            assert len(src) == 0 and len(dst) == 0
 
     def test_symmetric_against_pairwise_oracle(self):
-        from sgmap.geometry import obb_collide
-
         rng = np.random.default_rng(13)
-        nodes = [
-            self.node_with_box(
-                i + 1, rng.uniform(-3, 3, size=3), tuple(rng.uniform(0.3, 1.5, size=3))
-            )
-            for i in range(8)
+        gravity = GravityConfig()
+        for margin in (0.0, 0.5):
+            nodes = [
+                node_with_box(
+                    i + 1,
+                    rng.uniform(-3, 3, size=3),
+                    tuple(rng.uniform(0.3, 1.5, size=3)),
+                    rng.uniform(0, 1.5),
+                )
+                for i in range(12)
+            ]
+            src, dst = build_neighbour(nodes, margin=margin, gravity=gravity)
+            expected = [
+                (i, j)
+                for i, a in enumerate(nodes)
+                for j, b in enumerate(nodes)
+                if i != j and obb_collide_pairwise(a.obb, b.obb, margin, gravity)
+            ]
+            assert list(zip(src.tolist(), dst.tolist())) == expected
+            assert set(expected) == {(j, i) for (i, j) in expected}
+            assert 0 < len(expected) < 12 * 11
+
+    def test_exactly_touching_boxes_at_zero_margin(self):
+        # a row of unit cubes: each touches its neighbours face to face
+        nodes = [node_with_box(i + 1, [float(i), 0.0, 0.0]) for i in range(4)]
+        src, dst = build_neighbour(nodes, margin=0.0)
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)
         ]
-        graph = build_neighbour(nodes, margin=0.5)
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                hit = obb_collide(a.obb, b.obb, 0.5)
-                key = (min(a.label, b.label), max(a.label, b.label))
-                assert (key in graph.edges) == hit

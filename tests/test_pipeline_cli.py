@@ -257,6 +257,37 @@ class TestCli:
         assert code == 2
         assert f"000001.points:{len(lines)}: point id" in capsys.readouterr().err
 
+    def test_non_finite_point_exits_2_with_context(self, tmp_path, capsys):
+        seq_dir = tmp_path / "seq"
+        synth.generate(synth.desk_scene(seed=5, frames=2), seq_dir)
+        points = seq_dir / "frames" / "000001.points"
+        lines = points.read_text().splitlines()
+        lines[2] = lines[2].split(" ", 1)[0] + " 0 nan 0"
+        points.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--sequence", str(seq_dir), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "000001.points:3: point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keyframe", [True, False])
+    @pytest.mark.parametrize("suffix", ["labels.pgm", "conf.pgm"])
+    def test_short_raster_exits_2_naming_file(self, tmp_path, capsys, keyframe, suffix):
+        seq_dir = tmp_path / "seq"
+        synth.generate(synth.desk_scene(seed=5, frames=2), seq_dir)
+        # the small box gate accepts frame 1 as a keyframe, the stock one
+        # (200 px) rejects it
+        config = PipelineConfig(min_box_px=12) if keyframe else PipelineConfig()
+        config.save(tmp_path / "config.json")
+        accepted = replay_frontend(seqio.read_sequence(seq_dir), config).keyframes
+        assert (1 in [kf.id for kf in accepted]) == keyframe
+        raster = seq_dir / "frames" / f"000001.{suffix}"
+        seqio.write_pgm16(raster, seqio.read_pgm16(raster)[:-1])
+        code = main([
+            "run", "--sequence", str(seq_dir), "--config", str(tmp_path / "config.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"000001.{suffix}: raster is 160x119" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_weights_exit_3(self, tmp_path, capsys):

@@ -272,14 +272,69 @@ class TestRelPoseDescriptor:
             ssgp.rel_pose_descriptor(b, b, np.empty((0, 3)), np.ones((2, 3)))
 
 
+class TestEdgeGeometryRows:
+    @staticmethod
+    def random_graph(seed, n=6):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-2, 2, size=(n, 3))
+        centers[1] = centers[0] + [0.0, 0.0, 1.5]  # stacked above node 0
+        boxes, point_sets = [], []
+        for center in centers:
+            pts = rng.normal(scale=0.3, size=(int(rng.integers(3, 40)), 3)) + center
+            boxes.append(Obb(pts.mean(axis=0), rng.uniform(0.2, 1.0, 3), rng.uniform(0, 1.5)))
+            point_sets.append(pts)
+        boxes[1] = Obb(boxes[0].center + [0.0, 0.0, 1.5], boxes[1].dims, boxes[1].yaw)
+        return boxes, point_sets
+
+    def test_matches_reference_descriptor_per_edge(self):
+        # every ordered pair of nodes 0-4, node 5 isolated; under z-up
+        # gravity (0, 1) and (1, 0) are stacked and take the fallback frame
+        pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
+        src, dst = np.array(pairs).T
+        for up in ([0.0, 0.0, 1.0], [0.6, 0.0, 0.8]):
+            gravity = GravityConfig(up=np.array(up))
+            for seed in range(3):
+                boxes, point_sets = self.random_graph(seed)
+                rows = ssgp.edge_geometry_rows(boxes, point_sets, src, dst, gravity)
+                assert rows.shape == (len(pairs), 12)
+                for e, (i, j) in enumerate(pairs):
+                    bi, bj = boxes[i], boxes[j]
+                    np.testing.assert_array_equal(rows[e, :3], bj.center - bi.center)
+                    np.testing.assert_array_equal(rows[e, 3:6], bj.dims - bi.dims)
+                    expected = reference_descriptor(
+                        bi, bj, point_sets[i], point_sets[j], gravity.up
+                    )
+                    np.testing.assert_allclose(rows[e, 6:], expected, rtol=0, atol=1e-12)
+
+    def test_no_edges(self):
+        boxes, point_sets = self.random_graph(1)
+        rows = ssgp.edge_geometry_rows(boxes, point_sets, [], [])
+        assert rows.shape == (0, 12)
+
+    def test_empty_endpoint_raises_isolated_does_not(self):
+        boxes, point_sets = self.random_graph(2, n=3)
+        point_sets[2] = np.empty((0, 3))
+        assert ssgp.edge_geometry_rows(boxes, point_sets, [0], [1]).shape == (1, 12)
+        with pytest.raises(EmptyPointSet):
+            ssgp.edge_geometry_rows(boxes, point_sets, [0], [2])
+
+
 class TestEdgeFeature:
     def test_geometry_vector_assembly(self):
+        rng = np.random.default_rng(4)
         bi = Obb([1.0, 2.0, 3.0], [1.0, 2.0, 1.5], 0.0)
         bj = Obb([2.0, 1.0, 3.5], [2.0, 1.0, 0.5], 0.0)
-        desc = np.arange(6.0)
-        vec = ssgp.edge_geometry_vector(bi, bj, desc)
-        expected = np.concatenate([bj.center - bi.center, bj.dims - bi.dims, desc])
-        np.testing.assert_array_equal(vec, expected)
+        pi, pj = rng.normal(size=(5, 3)) + bi.center, rng.normal(size=(7, 3)) + bj.center
+        rows = ssgp.edge_geometry_rows([bi, bj], [pi, pj], [0, 1], [1, 0])
+        assert rows.shape == (2, ssgp.EDGE_GEOMETRY_DIM)
+        np.testing.assert_array_equal(
+            rows[0, :6], np.concatenate([bj.center - bi.center, bj.dims - bi.dims])
+        )
+        np.testing.assert_array_equal(
+            rows[1, :6], np.concatenate([bi.center - bj.center, bi.dims - bj.dims])
+        )
+        np.testing.assert_array_equal(rows[0, 6:], ssgp.rel_pose_descriptor(bi, bj, pi, pj))
+        np.testing.assert_array_equal(rows[1, 6:], ssgp.rel_pose_descriptor(bj, bi, pj, pi))
 
     def test_zero_mlp_gives_zero(self):
         w = zero_weights()
@@ -291,8 +346,7 @@ class TestEdgeFeature:
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(6, 3))
         box = Obb(pts.mean(0), [1, 1, 1], 0.0)
-        desc = ssgp.rel_pose_descriptor(box, box, pts, pts)
-        vec = ssgp.edge_geometry_vector(box, box, desc)
+        vec = ssgp.edge_geometry_rows([box], [pts], [0], [0])[0]
         np.testing.assert_allclose(vec, np.zeros(12), atol=1e-9)
         out = ssgp._mlp2(Tensor(vec), w, "edge_mlp")
         h = np.maximum(

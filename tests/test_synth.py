@@ -249,6 +249,36 @@ class TestSeqIo:
                 seqio.read_points(path)
             assert f"dup.points:{line}: point id 4 repeats line 1" in str(err.value)
 
+    def test_non_finite_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "nan.points"
+        # the one-pass reader and the line reader (blank line) both name the
+        # line of the first non-finite coordinate
+        for bad in ("nan", "inf", "-inf", "1e999"):
+            for text, line in (
+                (f"4 0 0 0\n9 1 {bad} 1\n5 2 2 2\n", 2),
+                (f"4 0 0 0\n\n9 1 1 1\n5 2 2 {bad}", 4),
+            ):
+                path.write_text(text)
+                with pytest.raises(seqio.SequenceFormatError) as err:
+                    seqio.read_points(path)
+                assert "nan.points:" + str(line) + ": point" in str(err.value)
+                assert "non-finite" in str(err.value)
+
+    def test_raster_of_wrong_shape_rejected_when_read(self, tmp_path):
+        out = tmp_path / "seq"
+        synth.generate(one_box_scene(), out)
+        frame = seqio.read_sequence(out).frames[0]
+        height, width = frame.labels().shape
+        assert frame.shape == (height, width)
+        for path, read in ((frame.labels_path, frame.labels), (frame.conf_path, frame.confidence)):
+            good = path.read_bytes()
+            seqio.write_pgm16(path, np.zeros((height - 1, width), dtype=np.int64))
+            with pytest.raises(seqio.SequenceFormatError) as err:
+                read()
+            assert path.name in str(err.value)
+            assert f"{width}x{height - 1}" in str(err.value)
+            path.write_bytes(good)
+
     def test_missing_frame_file_reported(self, tmp_path):
         out = tmp_path / "seq"
         synth.generate(one_box_scene(), out)
