@@ -21,7 +21,7 @@ from sgmap.geometry import (
     look_at_pose,
     outlier_mask,
 )
-from sgmap.graph_extract import EntityNode, build_neighbour
+from sgmap.graph_extract import EntityNode, build_neighbour, select_keyframe
 from sgmap.ssgp import edge_geometry_rows
 
 # One entity of about the size a desk-large label has: 745 points, of which
@@ -119,3 +119,33 @@ def test_neighbour_graph_and_edge_rows(benchmark, clutter_nodes):
 
     assert edge_stage(clutter_nodes).shape == (272, 12)
     benchmark(edge_stage, clutter_nodes)
+
+
+@pytest.fixture(scope="module")
+def stream_gate():
+    """66 keyframe poses on the ring of the stream workload, a 320x240 mask
+    of a floor, a table and two boxes with ragged splat edges, and a
+    candidate pose above the ring, which passes the pose test."""
+    center = np.array([0.0, 0.0, 0.35])
+    poses = [
+        look_at_pose(center + [1.9 * np.cos(a), 1.9 * np.sin(a), 1.3], center)
+        for a in np.linspace(0.0, 2.0 * np.pi, 66, endpoint=False)
+    ]
+    rotations = np.array([p.rotation for p in poses])
+    translations = np.array([p.translation for p in poses])
+    rng = np.random.default_rng(4)
+    mask = np.zeros((240, 320), dtype=np.int64)
+    for label, (r0, r1, c0, c1) in enumerate(
+        [(90, 240, 0, 320), (100, 190, 60, 260), (70, 120, 120, 170), (150, 210, 250, 300)], 1
+    ):
+        for r in range(r0, r1):
+            jag = rng.integers(-2, 3, size=2)
+            mask[r, max(c0 + jag[0], 0):c1 + jag[1]] = label
+    candidate = look_at_pose(center + [1.9, 0.0, 2.0], center)
+    return candidate, rotations, translations, mask
+
+
+def test_keyframe_gate_and_label_table(benchmark, stream_gate):
+    reason, table = select_keyframe(*stream_gate, min_box_px=40)
+    assert reason is None and sorted(table) == [1, 2, 3, 4]
+    benchmark(select_keyframe, *stream_gate, min_box_px=40)

@@ -10,7 +10,7 @@ exhausted flips to the contradicting label.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -421,9 +421,18 @@ def associate(
         taken.add(assigned)
         mapping[lbl] = assigned
 
-    consistent = np.zeros_like(img)
-    for lbl, target in mapping.items():
-        consistent[img == lbl] = target
+    # One lookup for all pixels; every label of ``img`` is a key, and 0 maps
+    # to 0.  The table is indexed by label while it is no larger than the
+    # mask; larger ids are searched among the sorted keys.
+    lut = {UNLABELED: UNLABELED, **mapping}
+    keys = np.array(sorted(lut), dtype=img.dtype)
+    targets = np.array([lut[int(k)] for k in keys], dtype=img.dtype)
+    if keys[0] >= 0 and keys[-1] < img.size:
+        table = np.zeros(int(keys[-1]) + 1, dtype=img.dtype)
+        table[keys] = targets
+        consistent = table[img]
+    else:
+        consistent = targets[np.searchsorted(keys, img)]
     return AssociationResult(
         consistent=consistent, mapping=mapping, new_labels=tuple(new_labels)
     )

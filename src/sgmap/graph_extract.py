@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,56 +55,140 @@ class EntityNode:
     obb: Obb
 
 
-def rotation_angle_deg(a: RigidPose, b: RigidPose) -> float:
-    """Geodesic angle between two rotations, in degrees."""
-    trace = float(np.trace(a.rotation.T @ b.rotation))
+def rotation_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
+    """Geodesic angle between two rotation matrices, in degrees."""
+    trace = float(np.trace(a.T @ b))
     cos_angle = min(1.0, max(-1.0, 0.5 * (trace - 1.0)))
     return math.degrees(math.acos(cos_angle))
 
 
-def mask_boxes(mask: np.ndarray) -> dict[int, tuple[int, int]]:
-    """Axis-aligned (width, height) of each nonzero label's pixel bbox."""
-    boxes: dict[int, tuple[int, int]] = {}
-    for lbl in np.unique(mask):
-        if lbl == UNLABELED:
-            continue
-        rows, cols = np.nonzero(mask == lbl)
-        boxes[int(lbl)] = (int(cols.max() - cols.min() + 1), int(rows.max() - rows.min() + 1))
-    return boxes
+class LabelBox(NamedTuple):
+    """One label's pixel bbox, half-open rows [r0, r1) and columns
+    [c0, c1), and its pixel count."""
+
+    r0: int
+    r1: int
+    c0: int
+    c1: int
+    pixels: int
+
+    @property
+    def roi(self) -> tuple[int, int, int, int]:
+        return (self.r0, self.r1, self.c0, self.c1)
+
+
+def mask_boxes(mask: np.ndarray) -> dict[int, LabelBox]:
+    """The label table of a mask: each nonzero label's box and pixel count,
+    in ascending label order, from one pass over the pixels.
+
+    The pass splits every row into runs of one label.  Pixel counts are a
+    bincount of run lengths; a row (column) hit table, one row per label
+    present, marks the rows (first and last columns) of the label's runs,
+    and its first and last hits bound the box.  Tables grow with the
+    labels present, not with their ids.
+    """
+    if mask.size == 0:
+        return {}
+    h, w = mask.shape
+    flat = mask.reshape(-1)
+    change = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=change[1:])
+    change[::w] = True
+    starts = np.flatnonzero(change)
+    ends = np.append(starts[1:], flat.size)
+    values = flat[starts]
+    keep = values != UNLABELED
+    starts, ends, values = starts[keep], ends[keep], values[keep]
+    labels, which = np.unique(values, return_inverse=True)
+    rows = starts // w
+    pixels = np.bincount(which, weights=ends - starts, minlength=len(labels))
+    row_hit = np.zeros((len(labels), h), dtype=bool)
+    row_hit[which, rows] = True
+    col_hit = np.zeros((len(labels), w), dtype=bool)
+    col_hit[which, starts - rows * w] = True
+    col_hit[which, ends - 1 - rows * w] = True
+    r0 = row_hit.argmax(axis=1)
+    r1 = h - row_hit[:, ::-1].argmax(axis=1)
+    c0 = col_hit.argmax(axis=1)
+    c1 = w - col_hit[:, ::-1].argmax(axis=1)
+    return {
+        int(lbl): LabelBox(int(a), int(b), int(c), int(d), int(n))
+        for lbl, a, b, c, d, n in zip(labels, r0, r1, c0, c1, pixels)
+    }
+
+
+# The vectorised pose screen keeps every stored pose that the scalar rule
+# could call close; rounding moves its cosines and distances by ~1e-15
+# (rotations are orthonormal to 1e-6, so their entries are near 1).
+_SCREEN_SLACK = 1e-9
+
+
+def pose_is_novel(
+    candidate: RigidPose,
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    rot_thresh_deg: float = DEFAULT_ROT_THRESH_DEG,
+    trans_thresh_m: float = DEFAULT_TRANS_THRESH_M,
+    combine: str = "and",
+) -> bool:
+    """True when no stored pose, given as (K, 3, 3) ``rotations`` and (K, 3)
+    ``translations``, is closer than both thresholds (``combine="or"``:
+    closer than either).
+
+    One vectorised pass screens the stored poses with a small margin
+    toward "close"; the scalar rule (:func:`rotation_angle_deg` and the
+    translation norm) decides on the few that survive, so the verdict is
+    the scalar rule's, at the thresholds too.
+    """
+    if combine not in ("and", "or"):
+        raise ValueError("combine must be 'and' or 'or'")
+    cosines = 0.5 * (np.einsum("ij,kij->k", candidate.rotation, rotations) - 1.0)
+    cos_thresh = math.cos(math.radians(min(abs(rot_thresh_deg), 180.0)))
+    rot_near = cosines >= cos_thresh - _SCREEN_SLACK
+    offsets = candidate.translation - translations
+    distances = np.sqrt(np.einsum("ki,ki->k", offsets, offsets))
+    trans_near = distances < trans_thresh_m + _SCREEN_SLACK * (1.0 + abs(trans_thresh_m))
+    near = (rot_near & trans_near) if combine == "and" else (rot_near | trans_near)
+    for k in np.flatnonzero(near):
+        rot_close = rotation_angle_deg(candidate.rotation, rotations[k]) < rot_thresh_deg
+        trans_close = float(np.linalg.norm(offsets[k])) < trans_thresh_m
+        if (rot_close and trans_close) if combine == "and" else (rot_close or trans_close):
+            return False
+    return True
+
+
+REJECT_POSE = "pose"
+REJECT_NO_BOX = "no_box"
 
 
 def select_keyframe(
     candidate: RigidPose,
-    existing: list[RigidPose],
-    boxes: dict[int, tuple[int, int]] | list[tuple[int, int]],
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    mask: np.ndarray,
     rot_thresh_deg: float = DEFAULT_ROT_THRESH_DEG,
     trans_thresh_m: float = DEFAULT_TRANS_THRESH_M,
     min_box_px: int = DEFAULT_MIN_BOX_PX,
     combine: str = "and",
-) -> bool:
-    """Accept a frame as keyframe.
+) -> tuple[str | None, dict[int, LabelBox] | None]:
+    """The keyframe gate: ``(reason, table)``.
 
-    Requires (a) no existing keyframe closer than both thresholds
-    (``combine="or"``: closer than either), and (b) at least one detected
-    box whose smaller side exceeds ``min_box_px``.
+    A frame is a keyframe when (a) its pose is novel against the stored
+    keyframe poses (:func:`pose_is_novel`) and (b) some label box of
+    ``mask`` has its smaller side above ``min_box_px``.  The pose test runs
+    first; only a frame that passes it pays for the mask pass.  ``reason``
+    is None for a keyframe, else :data:`REJECT_POSE` or
+    :data:`REJECT_NO_BOX`; ``table`` is the mask's label table
+    (:func:`mask_boxes`), None when the pose test turned the frame away.
     """
-    if combine not in ("and", "or"):
-        raise ValueError("combine must be 'and' or 'or'")
-    sizes = boxes.values() if isinstance(boxes, dict) else boxes
-    if not any(min(w, h) > min_box_px for (w, h) in sizes):
-        return False
-    for pose in existing:
-        rot_close = rotation_angle_deg(candidate, pose) < rot_thresh_deg
-        trans_close = (
-            float(np.linalg.norm(candidate.translation - pose.translation))
-            < trans_thresh_m
-        )
-        too_similar = (rot_close and trans_close) if combine == "and" else (
-            rot_close or trans_close
-        )
-        if too_similar:
-            return False
-    return True
+    if not pose_is_novel(
+        candidate, rotations, translations, rot_thresh_deg, trans_thresh_m, combine
+    ):
+        return REJECT_POSE, None
+    table = mask_boxes(mask)
+    if not any(min(box.c1 - box.c0, box.r1 - box.r0) > min_box_px for box in table.values()):
+        return REJECT_NO_BOX, table
+    return None, table
 
 
 def extract_entity(

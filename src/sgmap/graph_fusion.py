@@ -78,9 +78,6 @@ class GlobalSceneGraph:
     nodes: dict[int, NodeState] = field(default_factory=dict)
     edges: dict[tuple[int, int], Belief] = field(default_factory=dict)
 
-    def node_belief(self, label: int) -> Belief:
-        return self.nodes[label].belief
-
     def _empty_node_belief(self) -> Belief:
         return Belief(probs=np.zeros(self.num_node_classes), weight=0.0)
 

@@ -24,7 +24,7 @@ from .entity_map import (
     fuse,
     render_reference,
 )
-from .errors import DivergenceError, InvalidRoi, ShapeError
+from .errors import DivergenceError, ShapeError
 from .evaluation import (
     GroundTruth,
     PredictedGraph,
@@ -34,11 +34,13 @@ from .evaluation import (
 )
 from .geometry import GravityConfig, NeighbourCache
 from .graph_extract import (
+    REJECT_NO_BOX,
+    REJECT_POSE,
     EntityNode,
     Keyframe,
+    LabelBox,
     build_neighbour,
     extract_entity,
-    mask_boxes,
     select_keyframe,
 )
 from .graph_fusion import GlobalSceneGraph
@@ -187,6 +189,11 @@ class IncrementalPipeline:
         self.enable_backend = enable_backend and weights is not None
         self.map = PointMap()
         self.keyframes: list[Keyframe] = []
+        # The keyframe poses again, stacked for the vectorised pose test.
+        self._rotations = np.empty((0, 3, 3))
+        self._translations = np.empty((0, 3))
+        # Frames the keyframe gate turned away, by reason.
+        self.rejected = {REJECT_POSE: 0, REJECT_NO_BOX: 0}
         self.records: list[KeyframeRecord] = []
         self.views: dict[int, MultiviewAccumulator] = {}
         self.global_graph = GlobalSceneGraph(
@@ -224,16 +231,18 @@ class IncrementalPipeline:
         self.map.upsert_positions(ids, positions)
         self.timer.add("frame_ingest", time.perf_counter() - t0)
 
-        boxes = mask_boxes(labels_mask)
-        if not select_keyframe(
+        reason, table = select_keyframe(
             pose,
-            [kf.pose for kf in self.keyframes],
-            boxes,
+            self._rotations,
+            self._translations,
+            labels_mask,
             rot_thresh_deg=self.config.rot_thresh_deg,
             trans_thresh_m=self.config.trans_thresh_m,
             min_box_px=self.config.min_box_px,
             combine=self.config.keyframe_combine,
-        ):
+        )
+        if reason is not None:
+            self.rejected[reason] += 1
             return None
 
         t0 = time.perf_counter()
@@ -246,6 +255,8 @@ class IncrementalPipeline:
 
         keyframe = Keyframe(id=frame_index, pose=pose, intrinsics=intrinsics)
         self.keyframes.append(keyframe)
+        self._rotations = np.concatenate([self._rotations, pose.rotation[None]])
+        self._translations = np.concatenate([self._translations, pose.translation[None]])
         record = KeyframeRecord(
             frame_index=frame_index,
             mapping=dict(result.mapping),
@@ -253,7 +264,7 @@ class IncrementalPipeline:
         )
         self.records.append(record)
 
-        self._accumulate_views(labels_mask, result.mapping, precomputed_feats)
+        self._accumulate_views(labels_mask, table, result.mapping, precomputed_feats)
 
         if self.enable_backend and len(self.keyframes) % self.config.backend_tick == 0:
             t0 = time.perf_counter()
@@ -264,6 +275,7 @@ class IncrementalPipeline:
     def _accumulate_views(
         self,
         labels_mask: np.ndarray,
+        table: dict[int, LabelBox],
         mapping: dict[int, int],
         precomputed: dict[int, np.ndarray] | None,
     ) -> None:
@@ -280,10 +292,7 @@ class IncrementalPipeline:
                         f"{feat.shape}, expected ({dim},)"
                     )
             else:
-                try:
-                    feat = self._patch_provider.feature(labels_mask, input_label)
-                except InvalidRoi:
-                    continue
+                feat = self._patch_provider.feature(labels_mask, table[input_label].roi)
             acc = self.views.get(map_label)
             if acc is None:
                 acc = MultiviewAccumulator(dim)
@@ -449,6 +458,7 @@ def run_sequence(
     summary = {
         "frames": len(sequence.frames),
         "keyframes": len(pipeline.keyframes),
+        "keyframes_rejected": dict(pipeline.rejected),
         "map_points": int(len(pipeline.map)),
         "labeled_points": int(len(labels)),
         "graph_nodes": len(doc["nodes"]),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,16 +205,6 @@ def label_color(label: int) -> np.ndarray:
     ) / 255.0
 
 
-def colorize_mask(mask: np.ndarray) -> np.ndarray:
-    """Flat-color RGB rendering of a label mask, values in [0, 1]."""
-    out = np.zeros(mask.shape + (3,), dtype=np.float64)
-    for lbl in np.unique(mask):
-        if lbl == 0:
-            continue
-        out[mask == lbl] = label_color(int(lbl))
-    return out
-
-
 def resample_patch(image: np.ndarray, roi: tuple[int, int, int, int], size: int) -> np.ndarray:
     """Nearest-neighbour resample of an ROI (r0, r1, c0, c1) to size x size."""
     r0, r1, c0, c1 = roi
@@ -227,30 +217,28 @@ def resample_patch(image: np.ndarray, roi: tuple[int, int, int, int], size: int)
     return image[np.ix_(rows, cols)]
 
 
-def label_roi(mask: np.ndarray, label: int) -> tuple[int, int, int, int]:
-    rows, cols = np.nonzero(mask == label)
-    if len(rows) == 0:
-        raise InvalidRoi(f"label {label} has no pixels")
-    return int(rows.min()), int(rows.max()) + 1, int(cols.min()), int(cols.max()) + 1
-
-
 class PatchImageFeatureProvider:
-    """Built-in desk-scale image features: the label mask is flat-colored,
-    the entity ROI resampled to a small square patch, flattened, and pushed
-    through the loadable image projection matrix."""
+    """Built-in desk-scale image features: the entity ROI of the label mask
+    is resampled to a small square patch, flat-colored, flattened, and
+    pushed through the loadable image projection matrix.
+
+    Coloring acts per pixel and so does nearest-neighbour resampling, so
+    coloring only the resampled patch equals resampling a colored crop.
+    """
 
     def __init__(self, weights: NetworkWeights):
         self.weights = weights
 
-    def patch_vector(self, mask: np.ndarray, label: int) -> np.ndarray:
-        size = self.weights.config.patch_size
-        r0, r1, c0, c1 = label_roi(mask, label)
-        crop = colorize_mask(mask[r0:r1, c0:c1])
-        patch = resample_patch(crop, (0, r1 - r0, 0, c1 - c0), size)
-        return patch.reshape(-1)
+    def patch_vector(self, mask: np.ndarray, roi: tuple[int, int, int, int]) -> np.ndarray:
+        patch = resample_patch(mask, roi, self.weights.config.patch_size)
+        labels, inverse = np.unique(patch, return_inverse=True)
+        colors = np.stack([label_color(int(lbl)) for lbl in labels])
+        return colors[inverse.reshape(-1)].reshape(-1)
 
-    def feature(self, mask: np.ndarray, label: int) -> np.ndarray:
-        return self.weights["image_proj.weight"].value @ self.patch_vector(mask, label)
+    def feature(self, mask: np.ndarray, roi: tuple[int, int, int, int]) -> np.ndarray:
+        """Image feature of the ROI (r0, r1, c0, c1) of a label mask, as
+        the label table gives it (:func:`graph_extract.mask_boxes`)."""
+        return self.weights["image_proj.weight"].value @ self.patch_vector(mask, roi)
 
 
 # -- multi-view aggregation --------------------------------------------

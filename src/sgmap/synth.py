@@ -10,22 +10,19 @@ byte-identical directories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import seqio
-from .entity_map import PointMap, render_reference
 from .errors import SceneSpecError
 from .geometry import (
-    DEFAULT_GRAVITY,
     CameraIntrinsics,
-    GravityConfig,
     Obb,
     RigidPose,
     look_at_pose,
-    obb_collide,
+    obb_collide_matrix,
     rotation_about_axis,
 )
 
@@ -257,30 +254,29 @@ def derive_support_triplets(scene_spec: SceneSpec) -> list[tuple[int, int, int]]
     """
     standing = PREDICATE_NAMES.index("standing_on")
     attached = PREDICATE_NAMES.index("attached_to")
-    instances = sorted({p.instance for p in scene_spec.primitives})
-    by_instance = {
-        inst: [p for p in scene_spec.primitives if p.instance == inst]
-        for inst in instances
+    boxes = [primitive_obb(p) for p in scene_spec.primitives]
+    # Every box flattened to a unit slab at one height: two of them collide
+    # exactly when the horizontal rectangles overlap.
+    slabs = [
+        Obb(box.center * [1, 1, 0] + [0, 0, 0.5], box.dims * [1, 1, 0] + [0, 0, 1], box.yaw)
+        for box in boxes
+    ]
+    instance = np.array([p.instance for p in scene_spec.primitives])
+    z = np.array([box.center[2] for box in boxes])
+    half_height = np.array([0.5 * box.dims[2] for box in boxes])
+    # (a, b) over ordered pairs of primitives: a is the subject, b the object.
+    apart = instance[:, None] != instance[None, :]
+    stands = (
+        apart
+        & obb_collide_matrix(slabs, 0.0)
+        & (np.abs((z - half_height)[:, None] - (z + half_height)[None, :]) < SUPPORT_GAP)
+    )
+    touches = apart & ~stands & obb_collide_matrix(boxes, 0.5 * CONTACT_GAP)
+    triplets = {
+        (int(instance[a]), predicate, int(instance[b]))
+        for predicate, pairs in ((standing, stands), (attached, touches))
+        for a, b in zip(*np.nonzero(pairs))
     }
-    triplets: set[tuple[int, int, int]] = set()
-    for a in instances:
-        for b in instances:
-            if a == b:
-                continue
-            for pa in by_instance[a]:
-                for pb in by_instance[b]:
-                    ba, bb = primitive_obb(pa), primitive_obb(pb)
-                    bottom_a = ba.center[2] - 0.5 * ba.dims[2]
-                    top_b = bb.center[2] + 0.5 * bb.dims[2]
-                    horizontal = obb_collide(
-                        Obb(ba.center * [1, 1, 0] + [0, 0, 0.5], ba.dims * [1, 1, 0] + [0, 0, 1], ba.yaw),
-                        Obb(bb.center * [1, 1, 0] + [0, 0, 0.5], bb.dims * [1, 1, 0] + [0, 0, 1], bb.yaw),
-                        margin=0.0,
-                    )
-                    if horizontal and abs(bottom_a - top_b) < SUPPORT_GAP:
-                        triplets.add((a, standing, b))
-                    elif obb_collide(ba, bb, margin=0.5 * CONTACT_GAP):
-                        triplets.add((a, attached, b))
     # A support relation suppresses the symmetric contact pair.
     supported = {(s, o) for (s, p, o) in triplets if p == standing}
     cleaned = {

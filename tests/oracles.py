@@ -186,6 +186,91 @@ def random_mask_pair(rng, shape=(16, 16), img_labels=3, ref_labels=3):
     return img, ref, conf
 
 
+def consistent_mask_loops(img, mapping):
+    """The consistent mask of an association, one full-mask comparison per
+    input label."""
+    consistent = np.zeros_like(img)
+    for lbl, target in mapping.items():
+        consistent[img == lbl] = target
+    return consistent
+
+
+# -- keyframe gate and label masks -------------------------------------------
+#
+# The gate tested the box sizes first, then looped over the stored poses;
+# boxes, ROIs and the flat coloring each scanned the mask once per label.
+# ``sgmap`` tests the pose first over stacked arrays, and reads boxes and
+# ROIs from one label table.
+
+
+def rotation_angle_deg_poses(a, b):
+    trace = float(np.trace(a.rotation.T @ b.rotation))
+    cos_angle = min(1.0, max(-1.0, 0.5 * (trace - 1.0)))
+    return math.degrees(math.acos(cos_angle))
+
+
+def pose_is_novel_loop(candidate, existing, rot_thresh_deg, trans_thresh_m, combine):
+    """No pose in ``existing`` closer than both thresholds (either one, for
+    ``combine="or"``), one pose at a time."""
+    for pose in existing:
+        rot_close = rotation_angle_deg_poses(candidate, pose) < rot_thresh_deg
+        trans_close = (
+            float(np.linalg.norm(candidate.translation - pose.translation)) < trans_thresh_m
+        )
+        too_similar = (rot_close and trans_close) if combine == "and" else (
+            rot_close or trans_close
+        )
+        if too_similar:
+            return False
+    return True
+
+
+def select_keyframe_loop(candidate, existing, sizes, rot_thresh_deg, trans_thresh_m,
+                         min_box_px, combine):
+    """Some (width, height) in ``sizes`` with its smaller side above
+    ``min_box_px``, and a novel pose."""
+    if not any(min(w, h) > min_box_px for (w, h) in sizes):
+        return False
+    return pose_is_novel_loop(candidate, existing, rot_thresh_deg, trans_thresh_m, combine)
+
+
+def mask_boxes_loops(mask):
+    """(width, height) of each nonzero label's pixel bbox."""
+    boxes = {}
+    for lbl in np.unique(mask):
+        if lbl == UNLABELED:
+            continue
+        rows, cols = np.nonzero(mask == lbl)
+        boxes[int(lbl)] = (int(cols.max() - cols.min() + 1), int(rows.max() - rows.min() + 1))
+    return boxes
+
+
+def label_roi(mask, label):
+    """Half-open (r0, r1, c0, c1) bbox of one label's pixels."""
+    rows, cols = np.nonzero(mask == label)
+    if len(rows) == 0:
+        raise ValueError(f"label {label} has no pixels")
+    return int(rows.min()), int(rows.max()) + 1, int(cols.min()), int(cols.max()) + 1
+
+
+def colorize_mask(mask):
+    """Flat-color RGB rendering of a label mask, one comparison per label."""
+    out = np.zeros(mask.shape + (3,), dtype=np.float64)
+    for lbl in np.unique(mask):
+        if lbl == 0:
+            continue
+        out[mask == lbl] = ssgp.label_color(int(lbl))
+    return out
+
+
+def patch_vector_full_crop(mask, label, size):
+    """A label's patch vector made by coloring its whole ROI crop, then
+    resampling the colored crop."""
+    r0, r1, c0, c1 = label_roi(mask, label)
+    crop = colorize_mask(mask[r0:r1, c0:c1])
+    return ssgp.resample_patch(crop, (0, r1 - r0, 0, c1 - c0), size).reshape(-1)
+
+
 # -- per-vector scene-graph network ------------------------------------------
 #
 # The scene-graph network computed one autodiff vector per node and per

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     associate_loops,
+    consistent_mask_loops,
     mean_confidence_loops,
     random_mask_pair,
     render_reference_splat,
@@ -343,6 +344,28 @@ class TestAssociate:
                         PointMap(next_label=100))
         expected = associate_loops(img, ref, conf, 0.2, strategy, next_label=100)
         assert got.mapping == expected
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_consistent_mask_equals_per_label_loop(self, seed):
+        """The one-lookup consistent mask against one comparison per input
+        label, on small, huge and negative ids, a mask with no background
+        and an empty one."""
+        rng = np.random.default_rng(seed)
+        img, ref, conf = random_mask_pair(rng, shape=(20, 24), img_labels=5, ref_labels=4)
+        if seed == 1:
+            img = np.where(img != 0, img + 2**31, 0)
+        elif seed == 2:
+            img = img + 1
+        elif seed == 3:
+            img = np.zeros_like(img)
+        elif seed == 4:
+            img = -img
+        res = associate(img, np.ones_like(conf), make_render(ref, conf),
+                        AssociationConfig(theta=0.2), PointMap(next_label=100))
+        expected = consistent_mask_loops(img, res.mapping)
+        assert res.consistent.dtype == expected.dtype
+        assert np.array_equal(res.consistent, expected)
 
 
 class TestFuse:

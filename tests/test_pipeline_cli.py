@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -5,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgmap import seqio, synth
+from sgmap import graph_extract, seqio, synth
 from sgmap.cli import main
+from sgmap.geometry import look_at_pose
 from sgmap.pipeline import PipelineConfig, replay_frontend, run_sequence
 from sgmap.ssgp import init_weights, save_weights
 
@@ -118,6 +120,64 @@ class TestRunSequence:
         positions, labels, weights = pipeline.labeled_points()
         assert len(positions) == len(labels) == len(weights)
         assert np.all(weights > 0)
+
+
+def gated_scene():
+    """The desk scene with every pose shown twice, so that each repeat is
+    turned away on pose, then two frames looking away from the desk, which
+    have no entity box."""
+    scene = synth.desk_scene(seed=7, frames=6)
+    away = tuple(
+        look_at_pose(np.array(eye), np.array(target))
+        for eye, target in (([0.0, -1.9, 1.65], [0.0, -6.0, 1.65]),
+                            ([1.9, 0.0, 1.65], [6.0, 0.0, 1.65]))
+    )
+    return dataclasses.replace(scene, poses=tuple(p for p in scene.poses for _ in (0, 1)) + away)
+
+
+@pytest.fixture(scope="module")
+def gated_sequence(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seq") / "gated"
+    synth.generate(gated_scene(), out)
+    return out
+
+
+class TestKeyframeGate:
+    @pytest.mark.parametrize("preset", ["desk-7", "gated"])
+    def test_rejection_counts_add_up_to_frames(self, preset, gated_sequence, tmp_path):
+        if preset == "gated":
+            seq_dir = gated_sequence
+            config_path = tmp_path / "config.json"
+            PipelineConfig(min_box_px=12, node_dim=16, edge_dim=16, hidden_dim=16).save(config_path)
+        else:
+            seq_dir = tmp_path / "seq"
+            assert main(["synth", "--preset", "desk", "--seed", "7", "--out", str(seq_dir)]) == 0
+            config_path = seq_dir / "config.json"
+        out = tmp_path / "out"
+        assert main(["run", "--sequence", str(seq_dir), "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        rejected = summary["keyframes_rejected"]
+        assert set(rejected) == {"pose", "no_box"}
+        assert summary["keyframes"] + rejected["pose"] + rejected["no_box"] == summary["frames"]
+        if preset == "gated":
+            assert summary["frames"] == 14
+            assert (rejected["pose"], rejected["no_box"]) == (6, 2)
+
+    def test_pose_rejected_frame_skips_the_mask_pass(self, gated_sequence, monkeypatch):
+        calls = []
+        mask_boxes = graph_extract.mask_boxes
+
+        def counting(mask):
+            calls.append(mask.shape)
+            return mask_boxes(mask)
+
+        monkeypatch.setattr(graph_extract, "mask_boxes", counting)
+        config = PipelineConfig(min_box_px=12)
+        pipeline = replay_frontend(seqio.read_sequence(gated_sequence), config)
+        assert pipeline.rejected["pose"] == 6
+        assert len(calls) == 14 - pipeline.rejected["pose"]
+        assert len(calls) == len(pipeline.keyframes) + pipeline.rejected["no_box"]
 
 
 class TestCli:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import forward_per_vector, network_loss_per_vector
+from oracles import forward_per_vector, network_loss_per_vector, patch_vector_full_crop
 from sgmap import autodiff as ad
 from sgmap import ssgp
 from sgmap.autodiff import Tensor
@@ -15,6 +15,7 @@ from sgmap.errors import (
     ShapeError,
 )
 from sgmap.geometry import GravityConfig, Obb, rotation_about_axis
+from sgmap.graph_extract import mask_boxes
 
 CFG = ssgp.NetworkConfig(
     node_dim=4,
@@ -89,6 +90,8 @@ def permute_nodes(inputs, perm):
 
 
 class TestImageFeatures:
+    ROI = (4, 14, 5, 25)
+
     def mask(self):
         m = np.zeros((20, 30), dtype=np.int64)
         m[4:14, 5:25] = 6
@@ -97,19 +100,19 @@ class TestImageFeatures:
     def test_zero_projection_matrix_gives_zero(self):
         w = zero_weights()
         provider = ssgp.PatchImageFeatureProvider(w)
-        np.testing.assert_array_equal(provider.feature(self.mask(), 6), np.zeros(4))
+        np.testing.assert_array_equal(provider.feature(self.mask(), self.ROI), np.zeros(4))
 
     def test_feature_is_linear_in_projection(self):
         w = make_weights()
         provider = ssgp.PatchImageFeatureProvider(w)
-        base = provider.feature(self.mask(), 6)
+        base = provider.feature(self.mask(), self.ROI)
         w["image_proj.weight"].value *= 2.0
-        np.testing.assert_allclose(provider.feature(self.mask(), 6), 2.0 * base)
+        np.testing.assert_allclose(provider.feature(self.mask(), self.ROI), 2.0 * base)
 
     def test_constant_roi_gives_patch_of_constant_color(self):
         w = make_weights()
         provider = ssgp.PatchImageFeatureProvider(w)
-        patch = provider.patch_vector(self.mask(), 6)
+        patch = provider.patch_vector(self.mask(), self.ROI)
         color = ssgp.label_color(6)
         np.testing.assert_allclose(patch.reshape(-1, 3), np.tile(color, (4, 1)))
 
@@ -117,7 +120,31 @@ class TestImageFeatures:
         w = make_weights()
         provider = ssgp.PatchImageFeatureProvider(w)
         with pytest.raises(InvalidRoi):
-            provider.feature(self.mask(), 9)
+            provider.feature(self.mask(), (4, 4, 5, 25))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 1), (8, 8), (8, 3), (37, 23)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_colored_patch_equals_colored_crop(self, shape, seed):
+        """Coloring the resampled patch gives the vector of resampling the
+        colored crop bit for bit, for ROIs smaller than, equal to and larger
+        than the 8-pixel patch; other labels and huge ids inside the ROI
+        keep their own colors."""
+        rng = np.random.default_rng(seed)
+        h, w = shape
+        mask = rng.choice([0, 3, 2**31 + 5, 70000], size=(h + 9, w + 7))
+        r0, c0 = int(rng.integers(0, 10)), int(rng.integers(0, 8))
+        mask[r0:r0 + h, c0:c0 + w] = np.where(rng.random((h, w)) < 0.6, 9, mask[r0:r0 + h, c0:c0 + w])
+        mask[r0, c0] = mask[r0 + h - 1, c0 + w - 1] = 9
+        mask[:r0] = mask[r0 + h:] = 0
+        mask[:, :c0] = mask[:, c0 + w:] = 0
+        weights = ssgp.init_weights(ssgp.NetworkConfig(patch_size=8), seed=0)
+        provider = ssgp.PatchImageFeatureProvider(weights)
+        roi = mask_boxes(mask)[9].roi
+        assert roi == (r0, r0 + h, c0, c0 + w)
+        got = provider.patch_vector(mask, roi)
+        expected = patch_vector_full_crop(mask, 9, 8)
+        assert got.dtype == expected.dtype and got.shape == expected.shape == (3 * 8 * 8,)
+        assert np.array_equal(got, expected)
 
 
 class TestMultiview:
