@@ -1,0 +1,108 @@
+"""Behaviour pin: ``sgmap synth --preset desk --seed 7`` and ``sgmap run`` on
+its output, against the goldens in ``golden/desk_seed7.json``.
+
+Every synth file, ``map.ply``, ``graph.dot``, ``metrics.json`` and
+``summary.json`` are pinned by sha256.  ``scene_graph.json`` must match the
+recorded document exactly, except that class and predicate probabilities
+may differ by up to 1e-9.  A change meant to alter behaviour rewrites the
+goldens with ``PYTHONPATH=src python tests/test_behaviour_pin.py`` and says
+so in its description.
+"""
+
+import hashlib
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from sgmap.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "desk_seed7.json"
+RUN_FILES = ("map.ply", "graph.dot", "metrics.json", "summary.json")
+PROB_TOL = 1e-9
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def produce(root: Path) -> dict:
+    """Synthesize desk seed 7 under ``root``, replay it, and collect what
+    the goldens record."""
+    seq, out = root / "seq", root / "out"
+    assert main(["synth", "--preset", "desk", "--seed", "7", "--out", str(seq)]) == 0
+    config = str(seq / "config.json")
+    assert main(["run", "--sequence", str(seq), "--config", config, "--out", str(out)]) == 0
+    return {
+        "synth": {
+            path.relative_to(seq).as_posix(): _sha256(path)
+            for path in sorted(seq.rglob("*"))
+            if path.is_file()
+        },
+        "run": {name: _sha256(out / name) for name in RUN_FILES},
+        "scene_graph": json.loads((out / "scene_graph.json").read_text()),
+    }
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    return produce(tmp_path_factory.mktemp("pin"))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def assert_same_document(got, want, where="scene_graph", probs=False):
+    """Equal structure and values; floats under a ``*_probs`` key may differ
+    by up to PROB_TOL."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_same_document(got[key], want[key], f"{where}.{key}", key.endswith("_probs"))
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_document(g, w, f"{where}[{i}]", probs)
+    elif probs and isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=0.0, abs_tol=PROB_TOL), where
+    else:
+        assert got == want, where
+
+
+def test_synth_files_match_golden(produced, golden):
+    assert produced["synth"] == golden["synth"]
+
+
+def test_run_files_match_golden(produced, golden):
+    assert produced["run"] == golden["run"]
+
+
+def test_scene_graph_matches_golden(produced, golden):
+    assert_same_document(produced["scene_graph"], golden["scene_graph"])
+
+
+def test_document_comparison_tolerates_only_probabilities(golden):
+    doc = json.loads(json.dumps(golden["scene_graph"]))
+    doc["nodes"][0]["class_probs"][0] += 0.5 * PROB_TOL
+    assert_same_document(doc, golden["scene_graph"])
+    doc["nodes"][0]["class_probs"][0] += 2 * PROB_TOL
+    with pytest.raises(AssertionError):
+        assert_same_document(doc, golden["scene_graph"])
+    doc = json.loads(json.dumps(golden["scene_graph"]))
+    doc["nodes"][0]["obb"]["yaw"] += 0.5 * PROB_TOL
+    with pytest.raises(AssertionError):
+        assert_same_document(doc, golden["scene_graph"])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = produce(Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
