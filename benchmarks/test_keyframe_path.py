@@ -13,6 +13,7 @@ import copy
 import numpy as np
 import pytest
 
+from sgmap import seqio, synth
 from sgmap.entity_map import PointMap, render_reference
 from sgmap.geometry import (
     CameraIntrinsics,
@@ -149,3 +150,25 @@ def test_keyframe_gate_and_label_table(benchmark, stream_gate):
     reason, table = select_keyframe(*stream_gate, min_box_px=40)
     assert reason is None and sorted(table) == [1, 2, 3, 4]
     benchmark(select_keyframe, *stream_gate, min_box_px=40)
+
+
+@pytest.fixture(scope="module")
+def points_file(tmp_path_factory):
+    """A frame file of 2,584 points written as ``sgmap synth`` writes them."""
+    rng = np.random.default_rng(5)
+    path = tmp_path_factory.mktemp("frame") / "000000.points"
+    seqio.write_points(path, rng.permutation(4000)[:2584], rng.normal(size=(2584, 3)))
+    return path
+
+
+def test_read_points(benchmark, points_file):
+    ids, positions = seqio.read_points(points_file)
+    assert positions.shape == (2584, 3)
+    benchmark(seqio.read_points, points_file)
+
+
+def test_synth_instance_mask(benchmark):
+    """One 160x120 label mask of the desk scene (seed 7), first pose."""
+    spec = synth.desk_scene(seed=7)
+    scene = synth.sample_scene(spec)
+    benchmark(synth._render_instance_mask, scene, spec.poses[0], spec.intrinsics)

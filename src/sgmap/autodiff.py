@@ -40,12 +40,12 @@ class Tensor:
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None):
+    def __init__(self, value, requires_grad=False, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):

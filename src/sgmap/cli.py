@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import seqio, synth
 from .errors import DivergenceError, SgmapError
 from .evaluation import aos

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidLabel
-from .geometry import CameraIntrinsics, RigidPose, project_points
+from .geometry import UNREACHED, CameraIntrinsics, RigidPose, project_points, splat_min
 
 DEFAULT_THETA = 0.2
 DEFAULT_SPLAT_RADIUS = 2
@@ -205,22 +205,6 @@ class ReferenceRender:
     visible_labels: np.ndarray
 
 
-def _sliding_min(img: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    """Minimum over a window of ``2 * radius + 1`` along ``axis``, clipped at
-    the image border."""
-    out = img.copy()
-    n = img.shape[axis]
-    for shift in range(1, min(radius, n - 1) + 1):
-        lo = [slice(None)] * 2
-        hi = [slice(None)] * 2
-        lo[axis] = slice(0, n - shift)
-        hi[axis] = slice(shift, n)
-        lo, hi = tuple(lo), tuple(hi)
-        np.minimum(out[lo], img[hi], out=out[lo])
-        np.minimum(out[hi], img[lo], out=out[hi])
-    return out
-
-
 def render_reference(
     pmap: PointMap,
     pose: RigidPose,
@@ -256,21 +240,14 @@ def render_reference(
     labeled = np.nonzero(vis_labels != UNLABELED)[0]
     if len(labeled):
         # A pixel shows the labeled point of least (depth, id) among those
-        # whose centre lies within ``splat_radius`` of it (Chebyshev).  Rank
-        # the points by that order, keep each centre pixel's least rank,
-        # then take a sliding minimum over rows and over columns, within the
-        # band of rows the splats can reach.  Ids are unique, so no two
-        # points tie on (depth, id).
+        # whose centre lies within ``splat_radius`` of it (Chebyshev): the
+        # least rank in that order.  Ids are unique, so no two points tie
+        # on (depth, id).
         order = labeled[np.lexsort((vis_ids[labeled], vis_depth[labeled]))]
-        rows = vis_rows[order]
-        top = max(rows.min() - splat_radius, 0)
-        bottom = min(rows.max() + splat_radius + 1, h)
-        none = len(order)
-        rank = np.full((bottom - top) * w, none, dtype=np.intp)
-        np.minimum.at(rank, (rows - top) * w + vis_cols[order], np.arange(none))
-        rank = rank.reshape(-1, w)
-        rank = _sliding_min(_sliding_min(rank, splat_radius, axis=0), splat_radius, axis=1)
-        at = np.flatnonzero(rank < none)
+        top, rank = splat_min(
+            vis_rows[order], vis_cols[order], np.arange(len(order)), splat_radius, (h, w)
+        )
+        at = np.flatnonzero(rank != UNREACHED)
         winner = order[rank.reshape(-1)[at]]
         painted = at + top * w
         ref_labels.reshape(-1)[painted] = vis_labels[winner]

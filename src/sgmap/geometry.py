@@ -1,6 +1,7 @@
 """Point-set geometry: statistical outlier removal, gravity-aligned
-minimum-volume box fitting, margin-inflated box collision, and pinhole
-projection.
+minimum-volume box fitting, margin-inflated box collision, pinhole
+projection, and the depth-contended point splat shared by the reference
+render and the synthetic label masks.
 
 All functions operate on float64 numpy arrays and are pure, except that
 :func:`outlier_mask` updates the neighbour cache it is given.
@@ -122,10 +123,6 @@ class Obb:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dims", np.array([d0, d1, dims[2]]))
         object.__setattr__(self, "yaw", yaw)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.dims))
 
     @property
     def horizontal_area(self) -> float:
@@ -355,30 +352,6 @@ def obb_collide(
     return bool(obb_collide_matrix([a, b], margin, gravity)[0, 1])
 
 
-def obb_contains(
-    box: Obb,
-    points: np.ndarray,
-    tol: float = 1e-9,
-    gravity: GravityConfig = DEFAULT_GRAVITY,
-) -> bool:
-    """True when every point lies inside ``box`` within ``tol`` slack."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    h1, h2 = horizontal_basis(gravity)
-    rel = pts - box.center
-    x = rel @ h1
-    y = rel @ h2
-    z = rel @ gravity.up
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    u = x * c + y * s
-    v = -x * s + y * c
-    half = 0.5 * box.dims
-    return bool(
-        np.all(np.abs(u) <= half[0] + tol)
-        and np.all(np.abs(v) <= half[1] + tol)
-        and np.all(np.abs(z) <= half[2] + tol)
-    )
-
-
 def project_points(
     points: np.ndarray, pose: RigidPose, intrinsics: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,6 +375,49 @@ def project_points(
         & (uv[:, 1] < intrinsics.height)
     )
     return uv, depth, visible
+
+
+# Raster value of a pixel that no splat reaches (see :func:`splat_min`).
+UNREACHED = np.iinfo(np.intp).max
+
+
+def splat_min(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, radius: int, shape: tuple[int, int]
+) -> tuple[int, np.ndarray]:
+    """Splat each point's value over the (2r+1)^2 pixels around its centre
+    pixel ``(rows[k], cols[k])``, clipped at the border of an image of
+    ``shape`` (height, width); each pixel keeps the least value splatted
+    onto it, :data:`UNREACHED` where none is.
+
+    Returns ``(top, raster)``: the raster covers image rows ``top`` to
+    ``top + len(raster)`` at full width, the band the splats can reach.
+    Each centre pixel keeps its least value, then a sliding minimum runs
+    over rows and over columns.  Needs at least one point; ``values`` are
+    intp.
+    """
+    h, w = shape
+    top = max(rows.min() - radius, 0)
+    bottom = min(rows.max() + radius + 1, h)
+    raster = np.full((bottom - top) * w, UNREACHED, dtype=np.intp)
+    np.minimum.at(raster, (rows - top) * w + cols, values)
+    raster = raster.reshape(-1, w)
+    return top, _sliding_min(_sliding_min(raster, radius, axis=0), radius, axis=1)
+
+
+def _sliding_min(img: np.ndarray, radius: int, axis: int) -> np.ndarray:
+    """Minimum over a window of ``2 * radius + 1`` along ``axis``, clipped at
+    the image border."""
+    out = img.copy()
+    n = img.shape[axis]
+    for shift in range(1, min(radius, n - 1) + 1):
+        lo = [slice(None)] * 2
+        hi = [slice(None)] * 2
+        lo[axis] = slice(0, n - shift)
+        hi[axis] = slice(shift, n)
+        lo, hi = tuple(lo), tuple(hi)
+        np.minimum(out[lo], img[hi], out=out[lo])
+        np.minimum(out[hi], img[lo], out=out[hi])
+    return out
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -63,14 +63,13 @@ def rotation_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class LabelBox(NamedTuple):
-    """One label's pixel bbox, half-open rows [r0, r1) and columns
-    [c0, c1), and its pixel count."""
+    """One label's pixel bbox: half-open rows [r0, r1) and columns
+    [c0, c1)."""
 
     r0: int
     r1: int
     c0: int
     c1: int
-    pixels: int
 
     @property
     def roi(self) -> tuple[int, int, int, int]:
@@ -78,14 +77,13 @@ class LabelBox(NamedTuple):
 
 
 def mask_boxes(mask: np.ndarray) -> dict[int, LabelBox]:
-    """The label table of a mask: each nonzero label's box and pixel count,
-    in ascending label order, from one pass over the pixels.
+    """The label table of a mask: each nonzero label's box, in ascending
+    label order, from one pass over the pixels.
 
-    The pass splits every row into runs of one label.  Pixel counts are a
-    bincount of run lengths; a row (column) hit table, one row per label
-    present, marks the rows (first and last columns) of the label's runs,
-    and its first and last hits bound the box.  Tables grow with the
-    labels present, not with their ids.
+    The pass splits every row into runs of one label.  A row (column) hit
+    table, one row per label present, marks the rows (first and last
+    columns) of the label's runs, and its first and last hits bound the
+    box.  Tables grow with the labels present, not with their ids.
     """
     if mask.size == 0:
         return {}
@@ -101,7 +99,6 @@ def mask_boxes(mask: np.ndarray) -> dict[int, LabelBox]:
     starts, ends, values = starts[keep], ends[keep], values[keep]
     labels, which = np.unique(values, return_inverse=True)
     rows = starts // w
-    pixels = np.bincount(which, weights=ends - starts, minlength=len(labels))
     row_hit = np.zeros((len(labels), h), dtype=bool)
     row_hit[which, rows] = True
     col_hit = np.zeros((len(labels), w), dtype=bool)
@@ -112,8 +109,8 @@ def mask_boxes(mask: np.ndarray) -> dict[int, LabelBox]:
     c0 = col_hit.argmax(axis=1)
     c1 = w - col_hit[:, ::-1].argmax(axis=1)
     return {
-        int(lbl): LabelBox(int(a), int(b), int(c), int(d), int(n))
-        for lbl, a, b, c, d, n in zip(labels, r0, r1, c0, c1, pixels)
+        int(lbl): LabelBox(int(a), int(b), int(c), int(d))
+        for lbl, a, b, c, d in zip(labels, r0, r1, c0, c1)
     }
 
 

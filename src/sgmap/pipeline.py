@@ -375,9 +375,10 @@ class IncrementalPipeline:
         )
 
 
-def replay_frontend(sequence: seqio.Sequence, config: PipelineConfig) -> IncrementalPipeline:
-    """Run only the mapping/association front end over a sequence."""
-    pipeline = IncrementalPipeline(config, weights=None, enable_backend=False)
+def _replay(pipeline: IncrementalPipeline, sequence: seqio.Sequence) -> IncrementalPipeline:
+    """Feed every frame of ``sequence`` to ``pipeline`` in order.  A
+    pipeline without weights computes no view features, so it does not
+    read the precomputed ones."""
     for frame in sequence.frames:
         ids, positions = frame.points()
         pipeline.process_frame(
@@ -388,8 +389,14 @@ def replay_frontend(sequence: seqio.Sequence, config: PipelineConfig) -> Increme
             positions,
             frame.labels(),
             frame.confidence(),
+            precomputed_feats=frame.features() if pipeline.weights is not None else None,
         )
     return pipeline
+
+
+def replay_frontend(sequence: seqio.Sequence, config: PipelineConfig) -> IncrementalPipeline:
+    """Run only the mapping/association front end over a sequence."""
+    return _replay(IncrementalPipeline(config, weights=None, enable_backend=False), sequence)
 
 
 def run_sequence(
@@ -408,19 +415,7 @@ def run_sequence(
     else:
         weights = init_weights(network, seed=config.weights_seed)
 
-    pipeline = IncrementalPipeline(config, weights=weights, enable_backend=True)
-    for frame in sequence.frames:
-        ids, positions = frame.points()
-        pipeline.process_frame(
-            frame.index,
-            frame.pose(),
-            sequence.intrinsics,
-            ids,
-            positions,
-            frame.labels(),
-            frame.confidence(),
-            precomputed_feats=frame.features(),
-        )
+    pipeline = _replay(IncrementalPipeline(config, weights=weights), sequence)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

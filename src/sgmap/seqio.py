@@ -136,71 +136,58 @@ def write_points(path, ids: np.ndarray, positions: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
+POINT_RECORD = np.dtype([("id", np.int64), ("p", np.float64, 3)])
+
+
 def read_points(path) -> tuple[np.ndarray, np.ndarray]:
     """Point ids (int64, parsed as integers) and (N, 3) positions.
 
     Every non-blank line must hold exactly ``id x y z`` with finite
-    coordinates, and no id may repeat.  The common case is parsed in one
-    pass: each newline becomes a ``;`` token, so a file whose lines all
-    have four fields has ``;`` at every fifth token and nowhere else (a
-    stray ``;`` fails to parse as a number), and point i sits on line
-    i + 1.  Anything else is read line by line, which raises with the
-    offending line.
+    coordinates, and no id may repeat.
     """
-    text = Path(path).read_text()
-    tokens = text.replace("\n", " ; ").split()
-    if tokens and tokens[-1] != ";":
-        tokens.append(";")
-    if len(tokens) % 5 == 0 and tokens[4::5].count(";") == len(tokens) // 5:
-        try:
-            ids = np.array(tokens[0::5], dtype=np.int64)
-            positions = np.array([tokens[1::5], tokens[2::5], tokens[3::5]], dtype=np.float64)
-        except (ValueError, OverflowError):
-            pass  # fall through to the line-accurate path
-        else:
-            positions = np.ascontiguousarray(positions.T)
-            _reject_bad_points(path, ids, positions)
-            return ids, positions
-    return _read_points_by_line(path, text)
+    lines = Path(path).read_text().split("\n")
+    rows = _read_table(path, lines, POINT_RECORD, "id x y z")
+    ids, positions = np.ascontiguousarray(rows["id"]), np.ascontiguousarray(rows["p"])
+    _reject_bad_points(path, ids, positions, lines)
+    return ids, positions
 
 
-def _read_points_by_line(path, text: str) -> tuple[np.ndarray, np.ndarray]:
-    ids: list[np.int64] = []
-    positions: list[list[float]] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise SequenceFormatError(
-                f"{path}:{lineno}: expected 'id x y z', got {len(parts)} fields"
-            )
-        try:
-            ids.append(np.int64(parts[0]))
-            positions.append([float(v) for v in parts[1:]])
-        except (ValueError, OverflowError) as exc:
-            raise SequenceFormatError(f"{path}:{lineno}: {exc}") from exc
-        linenos.append(lineno)
-    ids_arr = np.array(ids, dtype=np.int64)
-    positions_arr = np.array(positions, dtype=np.float64).reshape(-1, 3)
-    _reject_bad_points(path, ids_arr, positions_arr, np.array(linenos, dtype=np.int64))
-    return ids_arr, positions_arr
+def _read_table(
+    path, lines: list[str], dtype: np.dtype, layout: str, first_line: int = 1
+) -> np.ndarray:
+    """The non-blank ``lines`` of ``path`` as records of ``dtype``, one per
+    line, whitespace-separated; ``lines[0]`` is line ``first_line`` of the
+    file.  ``#`` is data, not a comment.
+
+    A line that does not parse is found by parsing one line at a time, and
+    raises naming ``path:line`` and the expected ``layout``.
+    """
+    if not any(map(str.strip, lines)):
+        return np.empty(0, dtype=dtype)
+    try:
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        failure = exc
+    for lineno, line in enumerate(lines, start=first_line):
+        if line.strip():
+            try:
+                np.loadtxt([line], dtype=dtype, comments=None)
+            except ValueError:
+                raise SequenceFormatError(
+                    f"{path}:{lineno}: expected '{layout}', got {line.strip()!r}"
+                ) from None
+    raise SequenceFormatError(f"{path}: {failure}") from failure
 
 
-def _reject_bad_points(
-    path, ids: np.ndarray, positions: np.ndarray, linenos: np.ndarray | None = None
-) -> None:
+def _reject_bad_points(path, ids: np.ndarray, positions: np.ndarray, lines: list[str]) -> None:
     """Raise at the first line with a non-finite coordinate, then at the
-    first line whose point id an earlier line already has; ``linenos``
-    defaults to point i on line i + 1."""
-    if linenos is None:
-        linenos = np.arange(1, len(ids) + 1)
+    first line whose point id an earlier line already has.  Point i sits on
+    the i-th non-blank line of ``lines``."""
     finite = np.isfinite(positions).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise SequenceFormatError(
-            f"{path}:{linenos[bad]}: point {ids[bad]} has a non-finite coordinate"
+            f"{path}:{_line_of(lines, bad)}: point {ids[bad]} has a non-finite coordinate"
         )
     ordered = np.sort(ids)
     if not np.any(ordered[1:] == ordered[:-1]):
@@ -209,8 +196,14 @@ def _reject_bad_points(
     repeat = np.setdiff1d(np.arange(len(ids)), first_seen)[0]
     earlier = int(np.argmax(ids == ids[repeat]))
     raise SequenceFormatError(
-        f"{path}:{linenos[repeat]}: point id {ids[repeat]} repeats line {linenos[earlier]}"
+        f"{path}:{_line_of(lines, repeat)}: point id {ids[repeat]} "
+        f"repeats line {_line_of(lines, earlier)}"
     )
+
+
+def _line_of(lines: list[str], row: int) -> int:
+    """The 1-based line number of record ``row`` of :func:`_read_table`."""
+    return [i for i, line in enumerate(lines, start=1) if line.strip()][row]
 
 
 def write_features(path, table: dict[int, np.ndarray]) -> None:
@@ -222,18 +215,14 @@ def write_features(path, table: dict[int, np.ndarray]) -> None:
 
 
 def read_features(path) -> dict[int, np.ndarray]:
-    out: dict[int, np.ndarray] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                out[int(parts[0])] = np.array([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise SequenceFormatError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    """Per-label feature vectors: every non-blank line holds an integer
+    label and as many values as the first line has."""
+    lines = Path(path).read_text().split("\n")
+    first = next(filter(str.strip, lines), "")
+    dim = max(len(first.split()) - 1, 0)
+    record = np.dtype([("label", np.int64), ("v", np.float64, dim)])
+    rows = _read_table(path, lines, record, f"label and {dim} values")
+    return {int(lbl): vec.copy() for lbl, vec in zip(rows["label"], rows["v"])}
 
 
 # -- PLY ------------------------------------------------------------------
@@ -269,14 +258,15 @@ def write_labeled_ply(
 
 
 def read_labeled_ply(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "ply":
+    """Positions (the first three properties) and the other columns of an
+    ASCII PLY; ``int`` properties are read as int64, the rest as float64."""
+    lines = Path(path).read_text().split("\n")
+    if lines[0] != "ply":
         raise SequenceFormatError(f"{path}:1: not an ASCII PLY file")
     names: list[tuple[str, str]] = []
     count = 0
-    body_start = 0
     for idx, line in enumerate(lines[1:], start=1):
-        parts = line.split()
+        parts = line.split() or [""]
         if parts[0] == "element":
             count = int(parts[2])
         elif parts[0] == "property":
@@ -284,19 +274,24 @@ def read_labeled_ply(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         elif parts[0] == "end_header":
             body_start = idx + 1
             break
-    body = lines[body_start : body_start + count]
-    if len(body) != count:
-        raise SequenceFormatError(
-            f"{path}: header promises {count} vertices, found {len(body)}"
-        )
-    values = np.array([[float(v) for v in line.split()] for line in body]).reshape(
-        count, len(names)
+    else:
+        raise SequenceFormatError(f"{path}: no end_header line")
+    record = np.dtype(
+        [(name, np.int64 if kind == "int" else np.float64) for name, kind in names]
     )
-    positions = values[:, :3]
-    columns: dict[str, np.ndarray] = {}
-    for col, (name, kind) in enumerate(names[3:], start=3):
-        data = values[:, col]
-        columns[name] = data.astype(np.int64) if kind == "int" else data
+    rows = _read_table(
+        path,
+        lines[body_start : body_start + count],
+        record,
+        " ".join(name for name, _ in names),
+        first_line=body_start + 1,
+    )
+    if len(rows) != count:
+        raise SequenceFormatError(
+            f"{path}: header promises {count} vertices, found {len(rows)}"
+        )
+    positions = np.stack([rows[name] for name, _ in names[:3]], axis=1)
+    columns = {name: rows[name].copy() for name, _ in names[3:]}
     return positions, columns
 
 
@@ -316,30 +311,6 @@ def write_dot(
         lines.append(f'  n{src} -> n{dst} [label="{text}"];')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-_DOT_NODE = re.compile(r'^\s*n(\d+) \[label="([^"]*)"\];$')
-_DOT_EDGE = re.compile(r'^\s*n(\d+) -> n(\d+) \[label="([^"]*)"\];$')
-
-
-def read_dot(path) -> tuple[list[tuple[int, str]], list[tuple[int, int, str]]]:
-    """Parse graphs written by :func:`write_dot`."""
-    nodes: list[tuple[int, str]] = []
-    edges: list[tuple[int, int, str]] = []
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "digraph scene {" or lines[-1] != "}":
-        raise SequenceFormatError(f"{path}: not a scene DOT file")
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        edge = _DOT_EDGE.match(line)
-        if edge:
-            edges.append((int(edge.group(1)), int(edge.group(2)), edge.group(3)))
-            continue
-        node = _DOT_NODE.match(line)
-        if node:
-            nodes.append((int(node.group(1)), node.group(2)))
-            continue
-        raise SequenceFormatError(f"{path}:{lineno}: unrecognized line")
-    return nodes, edges
 
 
 # -- sequence directories --------------------------------------------------

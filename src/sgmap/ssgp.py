@@ -464,10 +464,9 @@ def gru_update(h: Tensor, x: Tensor, weights: NetworkWeights, cell: str) -> Tens
 
 @dataclass
 class GraphInputs:
-    """One prediction snapshot: per-node features (either projected vectors
-    or raw patches), normalized point sets, and directed edges: ``edges``
-    holds (E, 2) node-index pairs (an array or a list of pairs) and
-    ``edge_geometry`` their (E, 12) rows.
+    """One prediction snapshot: (N, D) node features, normalized point sets,
+    and directed edges: ``edges`` holds (E, 2) node-index pairs (an array
+    or a list of pairs) and ``edge_geometry`` their (E, 12) rows.
 
     Construction also stacks them for the network: ``points`` (P, 3) holds
     every node's points in node order and ``point_node`` (P,) the node of
@@ -478,8 +477,7 @@ class GraphInputs:
     node_points: list[np.ndarray]
     edges: np.ndarray | list[tuple[int, int]]
     edge_geometry: np.ndarray
-    node_features: np.ndarray | None = None
-    node_patches: np.ndarray | None = None
+    node_features: np.ndarray
     points: np.ndarray = field(init=False, repr=False)
     point_node: np.ndarray = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
@@ -487,10 +485,8 @@ class GraphInputs:
 
     def __post_init__(self):
         n = len(self.node_labels)
-        if (self.node_features is None) == (self.node_patches is None):
-            raise ValueError("provide exactly one of node_features / node_patches")
-        if len(self.node_points) != n:
-            raise ValueError("node_points must align with node_labels")
+        if len(self.node_points) != n or len(self.node_features) != n:
+            raise ValueError("node_points and node_features must align with node_labels")
         self.edge_geometry = np.asarray(self.edge_geometry, dtype=np.float64).reshape(
             len(self.edges), EDGE_GEOMETRY_DIM
         )
@@ -523,26 +519,17 @@ class ForwardResult:
     edge_logits: Tensor
 
 
-def forward(
-    inputs: GraphInputs,
-    weights: NetworkWeights,
-    layers: int | None = None,
-    mode: str | None = None,
-) -> ForwardResult:
-    """Run the full network on one graph snapshot."""
+def forward(inputs: GraphInputs, weights: NetworkWeights) -> ForwardResult:
+    """Run the full network on one graph snapshot, with the layer count and
+    edge mode of ``weights.config``."""
     cfg = weights.config
-    layers = cfg.layers if layers is None else layers
-    mode = cfg.mode if mode is None else mode
     n = len(inputs.node_labels)
 
-    if inputs.node_patches is not None:
-        v = ad.linear(Tensor(inputs.node_patches), weights["image_proj.weight"])
-    else:
-        v = Tensor(inputs.node_features)
+    v = Tensor(inputs.node_features)
     geo = point_encoder(inputs.points, inputs.point_node, n, weights)
     e = _mlp2(Tensor(inputs.edge_geometry), weights, "edge_mlp")
 
-    for _ in range(layers):
+    for _ in range(cfg.layers):
         vplus = gated_fuse(v, geo, weights["gate.weight"])
         node_msgs, edge_msgs = message_layer(vplus, e, inputs.src, inputs.dst, weights)
         v = gru_update(vplus, node_msgs, weights, "node_gru")
@@ -551,7 +538,7 @@ def forward(
     node_logits = ad.linear(v, weights["node_head.weight"]) + weights["node_head.bias"]
     edge_logits = ad.linear(e, weights["edge_head.weight"]) + weights["edge_head.bias"]
 
-    if mode == SINGLE:
+    if cfg.mode == SINGLE:
         edge_probs = ad.softmax(edge_logits).value
     else:
         edge_probs = ad.stable_sigmoid(edge_logits.value)
@@ -561,7 +548,7 @@ def forward(
         edge_keys=tuple(zip(labels[inputs.src].tolist(), labels[inputs.dst].tolist())),
         node_probs=ad.softmax(node_logits).value.reshape(n, cfg.num_node_classes),
         edge_probs=edge_probs.reshape(len(inputs.edges), cfg.num_edge_classes),
-        mode=mode,
+        mode=cfg.mode,
     )
     return ForwardResult(prediction=prediction, node_logits=node_logits, edge_logits=edge_logits)
 
@@ -579,65 +566,55 @@ class GraphTargets:
     edge_onehot: np.ndarray | None = None
 
 
-def loss(pred: Prediction, targets: GraphTargets, mode: str | None = None) -> float:
-    """Mean node cross-entropy plus mean edge cross-entropy (single) or
-    mean binary cross-entropy over predicates (multi), equally weighted."""
-    mode = pred.mode if mode is None else mode
-    node_classes = np.asarray(targets.node_classes, dtype=np.int64)
-    if len(node_classes) != len(pred.node_labels):
-        raise InvalidLabel("node targets must cover every node")
-    if node_classes.size and (
-        node_classes.min() < 0 or node_classes.max() >= pred.node_probs.shape[1]
-    ):
-        raise InvalidLabel("node class out of range")
-    total = 0.0
-    if node_classes.size:
-        picked = pred.node_probs[np.arange(len(node_classes)), node_classes]
-        total += float(-np.log(picked).mean())
-    if mode == SINGLE:
-        edge_classes = np.asarray(targets.edge_classes, dtype=np.int64)
-        if len(edge_classes) != len(pred.edge_keys):
-            raise InvalidLabel("edge targets must cover every edge")
-        if edge_classes.size:
-            if edge_classes.min() < 0 or edge_classes.max() >= pred.edge_probs.shape[1]:
-                raise InvalidLabel("edge class out of range")
-            picked = pred.edge_probs[np.arange(len(edge_classes)), edge_classes]
-            total += float(-np.log(picked).mean())
-    else:
-        onehot = np.asarray(targets.edge_onehot, dtype=np.float64)
-        if onehot.shape != pred.edge_probs.shape:
-            raise InvalidLabel("multi-mode edge targets must match edge probs shape")
-        if onehot.size:
-            p = pred.edge_probs
-            bce = -(
-                onehot * np.log(p + BCE_EPS) + (1.0 - onehot) * np.log(1.0 - p + BCE_EPS)
-            )
-            total += float(bce.mean())
-    return total
+def _class_indices(values, count: int, num_classes: int, what: str) -> np.ndarray:
+    """``values`` as ``count`` class indices in [0, num_classes)."""
+    classes = np.asarray(values, dtype=np.int64)
+    if classes.shape != (count,):
+        raise InvalidLabel(
+            f"{what} targets must be {count} class indices, got shape {classes.shape}"
+        )
+    if classes.size and (classes.min() < 0 or classes.max() >= num_classes):
+        raise InvalidLabel(f"{what} class out of range [0, {num_classes})")
+    return classes
 
 
 def network_loss(
-    inputs: GraphInputs,
-    weights: NetworkWeights,
-    targets: GraphTargets,
-    layers: int | None = None,
-    mode: str | None = None,
+    inputs: GraphInputs, weights: NetworkWeights, targets: GraphTargets
 ) -> tuple[Tensor, Prediction]:
-    """Differentiable loss over one graph (same value as :func:`loss`)."""
-    mode = weights.config.mode if mode is None else mode
-    result = forward(inputs, weights, layers=layers, mode=mode)
+    """Mean node cross-entropy plus mean edge cross-entropy (single mode)
+    or mean binary cross-entropy over predicates (multi mode), equally
+    weighted and differentiable; the edge term is left out of a graph
+    without edges.
 
-    node_classes = np.asarray(targets.node_classes, dtype=np.int64)
+    Raises :class:`InvalidLabel` unless there is one node class in range
+    per node, and one edge class in range (single) or one multi-hot row
+    (multi) per edge.
+    """
+    cfg = weights.config
+    num_edges = len(inputs.edges)
+    node_classes = _class_indices(
+        targets.node_classes, len(inputs.node_labels), cfg.num_node_classes, "node"
+    )
+    if cfg.mode == SINGLE:
+        edge_classes = _class_indices(
+            targets.edge_classes, num_edges, cfg.num_edge_classes, "edge"
+        )
+    else:
+        y = np.asarray(targets.edge_onehot, dtype=np.float64)
+        if y.shape != (num_edges, cfg.num_edge_classes):
+            raise InvalidLabel(
+                f"multi-mode edge targets must have shape {(num_edges, cfg.num_edge_classes)}, "
+                f"got {y.shape}"
+            )
+    result = forward(inputs, weights)
+
     picked = (np.arange(len(node_classes)), node_classes)
     total = -ad.mean_all(ad.gather(ad.log_softmax(result.node_logits), picked))
-
-    if len(inputs.edges):
-        if mode == SINGLE:
-            edge_classes = np.asarray(targets.edge_classes, dtype=np.int64)
-            picked = (np.arange(len(edge_classes)), edge_classes)
+    if num_edges:
+        if cfg.mode == SINGLE:
+            picked = (np.arange(num_edges), edge_classes)
             total = total - ad.mean_all(ad.gather(ad.log_softmax(result.edge_logits), picked))
         else:
-            y = np.asarray(targets.edge_onehot, dtype=np.float64)
             p = ad.sigmoid(result.edge_logits)
             term = ad.log(p + BCE_EPS) * y + ad.log(1.0 - p + BCE_EPS) * (1.0 - y)
             total = total - ad.mean_all(term)

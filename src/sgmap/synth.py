@@ -18,12 +18,15 @@ import numpy as np
 from . import seqio
 from .errors import SceneSpecError
 from .geometry import (
+    UNREACHED,
     CameraIntrinsics,
     Obb,
     RigidPose,
     look_at_pose,
     obb_collide_matrix,
+    project_points,
     rotation_about_axis,
+    splat_min,
 )
 
 NODE_CLASS_NAMES = ["floor", "table", "box", "wall"]
@@ -202,45 +205,31 @@ def _render_instance_mask(
     """Instance-id mask by splatting all scene points with depth contention.
 
     Points may carry different splat radii (solid masks for sparse
-    instances); the render runs one radius group at a time against a
-    shared depth buffer.
+    instances).  A pixel shows the point of least (depth, scene index)
+    among those whose splat covers it: the visible points are ranked in
+    that order, each radius group is splatted on its own, and the groups'
+    rasters are combined by their elementwise minimum.
     """
     h, w = intrinsics.height, intrinsics.width
     mask = np.zeros((h, w), dtype=np.int64)
-    depth_buf = np.full(h * w, np.inf)
-
-    from .geometry import project_points
-
     uv, depth, visible = project_points(scene.positions, pose, intrinsics)
-    if not visible.any():
+    index = np.flatnonzero(visible)
+    if not len(index):
         return mask
-    rows = np.floor(uv[visible, 1]).astype(np.int64)
-    cols = np.floor(uv[visible, 0]).astype(np.int64)
-    inst = scene.instances[visible]
-    dep = depth[visible]
-    splat = scene.mask_splats[visible]
-
-    flats = []
-    sources = []
-    for radius in np.unique(splat):
-        sel = np.nonzero(splat == radius)[0]
-        for dr in range(-radius, radius + 1):
-            for dc in range(-radius, radius + 1):
-                rr = rows[sel] + dr
-                cc = cols[sel] + dc
-                ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-                flats.append(rr[ok] * w + cc[ok])
-                sources.append(sel[ok])
-    flat = np.concatenate(flats)
-    src = np.concatenate(sources)
-    np.minimum.at(depth_buf, flat, dep[src])
-    on_min = dep[src] == depth_buf[flat]
-    # Resolve exact-depth ties toward the lowest source index.
-    low = np.full(h * w, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(low, flat[on_min], src[on_min])
-    winners = low[low != np.iinfo(np.int64).max]
-    pixels = np.nonzero(low != np.iinfo(np.int64).max)[0]
-    mask.reshape(-1)[pixels] = inst[winners]
+    rows = np.floor(uv[index, 1]).astype(np.int64)
+    cols = np.floor(uv[index, 0]).astype(np.int64)
+    order = np.lexsort((index, depth[index]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    best = np.full((h, w), UNREACHED, dtype=np.intp)
+    radii = scene.mask_splats[index]
+    for radius in np.unique(radii):
+        group = radii == radius
+        top, group_best = splat_min(rows[group], cols[group], rank[group], int(radius), (h, w))
+        band = best[top : top + len(group_best)]
+        np.minimum(band, group_best, out=band)
+    hit = best != UNREACHED
+    mask[hit] = scene.instances[index[order[best[hit]]]]
     return mask
 
 
@@ -299,8 +288,6 @@ def generate(spec: SceneSpec, out_dir) -> dict:
     point_ids = np.arange(len(scene.positions), dtype=np.int64)
 
     seqio.write_intrinsics(out / "intrinsics.txt", spec.intrinsics)
-
-    from .geometry import project_points
 
     for frame_idx, pose in enumerate(spec.poses):
         stem = seqio.frame_stem(frame_idx)

@@ -5,6 +5,8 @@ per-node loops, deliberately avoiding the vectorized production paths.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
@@ -12,7 +14,15 @@ from scipy.spatial import ConvexHull, cKDTree
 from sgmap import autodiff as ad
 from sgmap import ssgp
 from sgmap.entity_map import NO_POINT, UNLABELED, AssociationStrategy, ReferenceRender
-from sgmap.geometry import HALF_PI, MIN_EXTENT, Obb, horizontal_basis, project_points
+from sgmap.geometry import (
+    DEFAULT_GRAVITY,
+    HALF_PI,
+    MIN_EXTENT,
+    Obb,
+    horizontal_basis,
+    project_points,
+)
+from sgmap.seqio import SequenceFormatError
 
 
 def overlap_stats_loops(img, ref_labels, ref_conf):
@@ -372,25 +382,17 @@ def _vec_gru(h, x, weights, cell):
     return (one - z) * n + z * h
 
 
-def forward_per_vector(inputs, weights, layers=None, mode=None):
+def forward_per_vector(inputs, weights):
     """Node probabilities, edge probabilities and the per-row logit tensors."""
     cfg = weights.config
-    layers = cfg.layers if layers is None else layers
-    mode = cfg.mode if mode is None else mode
-    if inputs.node_patches is not None:
-        v = [
-            _vec_matmul(weights["image_proj.weight"], ad.Tensor(p))
-            for p in np.asarray(inputs.node_patches, dtype=np.float64)
-        ]
-    else:
-        v = [ad.Tensor(f) for f in np.asarray(inputs.node_features, dtype=np.float64)]
+    v = [ad.Tensor(f) for f in np.asarray(inputs.node_features, dtype=np.float64)]
     geo = [_vec_point_encoder(p, weights) for p in inputs.node_points]
     edge_feats = {
         key: _vec_mlp2(ad.Tensor(g), weights, "edge_mlp")
         for key, g in zip(inputs.edges, inputs.edge_geometry)
     }
     gate_w = weights["gate.weight"]
-    for _ in range(layers):
+    for _ in range(cfg.layers):
         vplus = [
             v[i] + ad.sigmoid(_vec_matmul(gate_w, ad.concat([v[i], geo[i]]))) * ad.sigmoid(geo[i])
             for i in range(len(v))
@@ -427,7 +429,7 @@ def forward_per_vector(inputs, weights, layers=None, mode=None):
         for key in inputs.edges
     ]
     node_probs = np.array([ad.softmax(t).value for t in node_logits])
-    if mode == ssgp.SINGLE:
+    if cfg.mode == ssgp.SINGLE:
         edge_probs = [ad.softmax(t).value for t in edge_logits]
     else:
         edge_probs = [ad.stable_sigmoid(t.value) for t in edge_logits]
@@ -435,10 +437,10 @@ def forward_per_vector(inputs, weights, layers=None, mode=None):
     return node_probs, edge_probs, node_logits, edge_logits
 
 
-def network_loss_per_vector(inputs, weights, targets, layers=None, mode=None):
+def network_loss_per_vector(inputs, weights, targets):
     """The differentiable loss, summed one row at a time."""
-    mode = weights.config.mode if mode is None else mode
-    _, _, node_logits, edge_logits = forward_per_vector(inputs, weights, layers, mode)
+    mode = weights.config.mode
+    _, _, node_logits, edge_logits = forward_per_vector(inputs, weights)
 
     def mean(terms):
         acc = terms[0]
@@ -465,6 +467,24 @@ def network_loss_per_vector(inputs, weights, targets, layers=None, mode=None):
             rows.append(-ad.mean_all(y * ad.log(p + eps) + (one - y) * ad.log(one - p + eps)))
         total = total + mean(rows)
     return total
+
+
+def prediction_loss(pred, targets):
+    """The network loss recomputed in numpy from a prediction's
+    probabilities: mean node cross-entropy plus mean edge cross-entropy
+    (single) or mean binary cross-entropy over predicates (multi)."""
+    node_classes = np.asarray(targets.node_classes, dtype=np.int64)
+    total = float(-np.log(pred.node_probs[np.arange(len(node_classes)), node_classes]).mean())
+    if not len(pred.edge_keys):
+        return total
+    if pred.mode == ssgp.SINGLE:
+        edge_classes = np.asarray(targets.edge_classes, dtype=np.int64)
+        picked = pred.edge_probs[np.arange(len(edge_classes)), edge_classes]
+        return total + float(-np.log(picked).mean())
+    y = np.asarray(targets.edge_onehot, dtype=np.float64)
+    p = pred.edge_probs
+    bce = -(y * np.log(p + ssgp.BCE_EPS) + (1.0 - y) * np.log(1.0 - p + ssgp.BCE_EPS))
+    return total + float(bce.mean())
 
 
 # -- keyframe path: render, outlier filter, box fit ---------------------------
@@ -529,6 +549,45 @@ def render_reference_splat(pmap, pose, intrinsics, splat_radius):
         visible_cols=vis_cols,
         visible_labels=vis_labels,
     )
+
+
+def render_instance_mask_offsets(scene, pose, intrinsics):
+    """Reference synth mask painting one candidate per splat offset: every
+    visible point proposes itself at each pixel of its own (2r+1)^2 splat,
+    one radius group at a time; a pixel keeps the least depth, then the
+    least scene index, over all groups."""
+    h, w = intrinsics.height, intrinsics.width
+    mask = np.zeros((h, w), dtype=np.int64)
+    uv, depth, visible = project_points(scene.positions, pose, intrinsics)
+    if not visible.any():
+        return mask
+    rows = np.floor(uv[visible, 1]).astype(np.int64)
+    cols = np.floor(uv[visible, 0]).astype(np.int64)
+    inst = scene.instances[visible]
+    dep = depth[visible]
+    splat = scene.mask_splats[visible]
+    flats = []
+    sources = []
+    for radius in np.unique(splat):
+        sel = np.nonzero(splat == radius)[0]
+        for dr in range(-radius, radius + 1):
+            for dc in range(-radius, radius + 1):
+                rr = rows[sel] + dr
+                cc = cols[sel] + dc
+                ok = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+                flats.append(rr[ok] * w + cc[ok])
+                sources.append(sel[ok])
+    flat = np.concatenate(flats)
+    src = np.concatenate(sources)
+    depth_buf = np.full(h * w, np.inf)
+    np.minimum.at(depth_buf, flat, dep[src])
+    on_min = dep[src] == depth_buf[flat]
+    none = np.iinfo(np.int64).max
+    low = np.full(h * w, none, dtype=np.int64)
+    np.minimum.at(low, flat[on_min], src[on_min])
+    pixels = np.nonzero(low != none)[0]
+    mask.reshape(-1)[pixels] = inst[low[pixels]]
+    return mask
 
 
 def outlier_mask_fresh(points, mean_k, std_ratio):
@@ -615,3 +674,48 @@ def obb_collide_pairwise(a, b, margin, gravity):
             if pa.max() < pb.min() or pb.max() < pa.min():
                 return False
     return True
+
+
+def obb_contains(box, points, tol=1e-9, gravity=DEFAULT_GRAVITY):
+    """True when every point lies inside ``box`` within ``tol`` slack."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    h1, h2 = horizontal_basis(gravity)
+    rel = pts - box.center
+    x = rel @ h1
+    y = rel @ h2
+    z = rel @ gravity.up
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    u = x * c + y * s
+    v = -x * s + y * c
+    half = 0.5 * box.dims
+    return bool(
+        np.all(np.abs(u) <= half[0] + tol)
+        and np.all(np.abs(v) <= half[1] + tol)
+        and np.all(np.abs(z) <= half[2] + tol)
+    )
+
+
+# -- exports ---------------------------------------------------------------
+
+_DOT_NODE = re.compile(r'^\s*n(\d+) \[label="([^"]*)"\];$')
+_DOT_EDGE = re.compile(r'^\s*n(\d+) -> n(\d+) \[label="([^"]*)"\];$')
+
+
+def read_dot(path):
+    """Nodes and edges of a graph written by ``seqio.write_dot``."""
+    nodes = []
+    edges = []
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != "digraph scene {" or lines[-1] != "}":
+        raise SequenceFormatError(f"{path}: not a scene DOT file")
+    for lineno, line in enumerate(lines[1:-1], start=2):
+        edge = _DOT_EDGE.match(line)
+        if edge:
+            edges.append((int(edge.group(1)), int(edge.group(2)), edge.group(3)))
+            continue
+        node = _DOT_NODE.match(line)
+        if node:
+            nodes.append((int(node.group(1)), node.group(2)))
+            continue
+        raise SequenceFormatError(f"{path}:{lineno}: unrecognized line")
+    return nodes, edges

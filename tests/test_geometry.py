@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import fit_obb_per_angle, obb_collide_pairwise, outlier_mask_fresh
+from oracles import fit_obb_per_angle, obb_collide_pairwise, obb_contains, outlier_mask_fresh
 from sgmap.errors import DegenerateGeometry, EmptyPointSet
 from sgmap.geometry import (
     CameraIntrinsics,
@@ -17,7 +17,6 @@ from sgmap.geometry import (
     look_at_pose,
     obb_collide,
     obb_collide_matrix,
-    obb_contains,
     outlier_mask,
     project_points,
     rotation_about_axis,

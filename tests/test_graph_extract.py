@@ -104,7 +104,7 @@ class TestSelectKeyframe:
         mask = np.zeros((50, 60), dtype=np.int64)
         mask[5:15, 10:40] = 3
         mask[20:22, 2:4] = 7
-        assert mask_boxes(mask) == {3: (5, 15, 10, 40, 300), 7: (20, 22, 2, 4, 4)}
+        assert mask_boxes(mask) == {3: (5, 15, 10, 40), 7: (20, 22, 2, 4)}
 
     def test_table_only_for_pose_novel_frames(self):
         pose = pose_at([0, -2, 0])
@@ -226,7 +226,6 @@ def check_label_table(mask):
     for lbl, box in table.items():
         assert (box.c1 - box.c0, box.r1 - box.r0) == expected[lbl]
         assert box.roi == label_roi(mask, lbl)
-        assert box.pixels == int(np.count_nonzero(mask == lbl))
     return table
 
 
@@ -252,15 +251,15 @@ class TestLabelTable:
         single = np.zeros((6, 5), dtype=np.int64)
         single[0, 4] = single[5, 0] = 2**31 + 5
         single[3, 2] = 4
-        assert check_label_table(single) == {4: (3, 4, 2, 3, 1), 2**31 + 5: (0, 6, 0, 5, 2)}
+        assert check_label_table(single) == {4: (3, 4, 2, 3), 2**31 + 5: (0, 6, 0, 5)}
         border = np.zeros((7, 9), dtype=np.int64)
         border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = 8
         border[2:5, 3:6] = 1
-        assert check_label_table(border)[8] == (0, 7, 0, 9, 28)
+        assert check_label_table(border)[8] == (0, 7, 0, 9)
         full = np.full((1, 1), 3)
-        assert check_label_table(full) == {3: (0, 1, 0, 1, 1)}
+        assert check_label_table(full) == {3: (0, 1, 0, 1)}
         column = np.array([[0], [6], [6], [0], [6]])
-        assert check_label_table(column) == {6: (1, 5, 0, 1, 3)}
+        assert check_label_table(column) == {6: (1, 5, 0, 1)}
 
 
 def populated_map():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import read_dot
 from sgmap import graph_extract, seqio, synth
 from sgmap.cli import main
 from sgmap.geometry import look_at_pose
@@ -68,7 +69,7 @@ class TestRunSequence:
             assert edge["from"] in node_labels and edge["to"] in node_labels
             assert edge["from"] != edge["to"]
 
-        dot_nodes, dot_edges = seqio.read_dot(out / "graph.dot")
+        dot_nodes, dot_edges = read_dot(out / "graph.dot")
         assert {label for label, _ in dot_nodes} == node_labels
         for src, dst, _pred in dot_edges:
             assert src in node_labels and dst in node_labels
@@ -291,6 +292,22 @@ class TestCli:
         scores = {name: float(value) for name, value in
                   (row.split(",") for row in rows[1:])}
         assert scores["mean_confidence"] > scores["iou"]
+
+    @pytest.mark.parametrize("bad", ["short", "text"])
+    def test_malformed_ground_truth_row_exits_2_naming_line(self, tmp_path, capsys, bad):
+        seq_dir, out_dir = tmp_path / "seq", tmp_path / "out"
+        synth.generate(synth.desk_scene(seed=5, frames=2), seq_dir)
+        assert main(["run", "--sequence", str(seq_dir), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        ply = seq_dir / "gt_points.ply"
+        lines = ply.read_text().splitlines()
+        row = lines.index("end_header") + 4  # the fourth body row, 0-based
+        cells = lines[row].split()
+        lines[row] = " ".join(cells[:-1] if bad == "short" else cells[:1] + ["x"] + cells[2:])
+        ply.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--pred", str(out_dir), "--gt", str(seq_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"gt_points.ply:{row + 1}: expected 'x y z " in err
 
     def test_missing_sequence_exits_2(self, tmp_path, capsys):
         assert main(["run", "--sequence", str(tmp_path / "nope"),

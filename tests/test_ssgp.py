@@ -1,9 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oracles import forward_per_vector, network_loss_per_vector, patch_vector_full_crop
+from oracles import (
+    forward_per_vector,
+    network_loss_per_vector,
+    patch_vector_full_crop,
+    prediction_loss,
+)
 from sgmap import autodiff as ad
 from sgmap import ssgp
 from sgmap.autodiff import Tensor
@@ -33,6 +39,11 @@ def make_weights(seed=1, cfg=CFG):
     return ssgp.init_weights(cfg, seed=seed)
 
 
+def with_layers(weights, layers):
+    """The same tensors under a config with another layer count."""
+    return ssgp.NetworkWeights(dataclasses.replace(weights.config, layers=layers), weights.tensors)
+
+
 def zero_weights(cfg=CFG):
     w = ssgp.init_weights(cfg, seed=0)
     for t in w.tensors.values():
@@ -47,7 +58,7 @@ def make_graph(seed=3, cfg=CFG, n_nodes=3, edges=((0, 1), (1, 0), (1, 2), (2, 1)
         node_points=[rng.normal(size=(5, 3)) for _ in range(n_nodes)],
         edges=list(edges),
         edge_geometry=rng.normal(size=(len(edges), 12)),
-        node_patches=rng.normal(size=(n_nodes, cfg.patch_dim)),
+        node_features=rng.normal(size=(n_nodes, cfg.node_dim)),
     )
 
 
@@ -78,14 +89,12 @@ def clutter_graph(seed=21, cfg=ssgp.NetworkConfig()):
 def permute_nodes(inputs, perm):
     """The same graph with node ``perm[k]`` stored as node ``k``."""
     inv = {old: new for new, old in enumerate(perm)}
-    features, patches = inputs.node_features, inputs.node_patches
     return ssgp.GraphInputs(
         node_labels=tuple(inputs.node_labels[i] for i in perm),
         node_points=[inputs.node_points[i] for i in perm],
         edges=[(inv[i], inv[j]) for (i, j) in inputs.edges],
         edge_geometry=inputs.edge_geometry,
-        node_features=None if features is None else features[perm],
-        node_patches=None if patches is None else patches[perm],
+        node_features=inputs.node_features[perm],
     )
 
 
@@ -585,9 +594,8 @@ class TestForward:
     def test_zero_layers_apply_heads_directly(self):
         w = make_weights()
         inputs = make_graph()
-        result = ssgp.forward(inputs, w, layers=0)
-        feats = [w["image_proj.weight"].value @ p for p in inputs.node_patches]
-        for logit_probs, f in zip(result.prediction.node_probs, feats):
+        result = ssgp.forward(inputs, with_layers(w, 0))
+        for logit_probs, f in zip(result.prediction.node_probs, inputs.node_features):
             logits = w["node_head.weight"].value @ f + w["node_head.bias"].value
             e = np.exp(logits - logits.max())
             np.testing.assert_allclose(logit_probs, e / e.sum(), atol=1e-12)
@@ -640,8 +648,8 @@ def tied_graph(seed, cfg=CFG):
     points = [rng.normal(size=(int(rng.integers(3, 9)), 3)) for _ in range(6)]
     points[0] = np.vstack([points[0], points[0]])
     points[3] = points[2]
-    patches = rng.normal(size=(6, cfg.patch_dim))
-    patches[3] = patches[2]
+    features = rng.normal(size=(6, cfg.node_dim))
+    features[3] = features[2]
     edges = [(1, 3), (0, 1), (2, 1), (1, 0), (4, 0), (3, 1), (1, 2), (0, 2)]
     geometry = rng.normal(size=(len(edges), 12))
     geometry[edges.index((1, 2))] = geometry[edges.index((1, 3))]
@@ -651,7 +659,7 @@ def tied_graph(seed, cfg=CFG):
         node_points=points,
         edges=edges,
         edge_geometry=geometry,
-        node_patches=patches,
+        node_features=features,
     )
     targets = ssgp.GraphTargets(
         node_classes=rng.integers(0, cfg.num_node_classes, size=6),
@@ -664,18 +672,18 @@ def tied_graph(seed, cfg=CFG):
 class TestPerVectorOracle:
     """The batched network against the per-vector reference in oracles.py."""
 
-    def assert_matches(self, inputs, targets, w, layers=None):
-        result = ssgp.forward(inputs, w, layers=layers)
-        node_probs, edge_probs, _, _ = forward_per_vector(inputs, w, layers=layers)
+    def assert_matches(self, inputs, targets, w):
+        result = ssgp.forward(inputs, w)
+        node_probs, edge_probs, _, _ = forward_per_vector(inputs, w)
         np.testing.assert_allclose(result.prediction.node_probs, node_probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.prediction.edge_probs, edge_probs, rtol=0, atol=1e-12)
 
         w.zero_grad()
-        tape_loss, _ = ssgp.network_loss(inputs, w, targets, layers=layers)
+        tape_loss, _ = ssgp.network_loss(inputs, w, targets)
         tape_loss.backward()
         grads = {name: t.grad for name, t in w.parameters()}
         w.zero_grad()
-        reference = network_loss_per_vector(inputs, w, targets, layers=layers)
+        reference = network_loss_per_vector(inputs, w, targets)
         reference.backward()
         assert abs(float(tape_loss.value) - float(reference.value)) <= 1e-12
         for name, t in w.parameters():
@@ -693,7 +701,7 @@ class TestPerVectorOracle:
 
     def test_zero_layers(self):
         inputs, targets = tied_graph(3)
-        self.assert_matches(inputs, targets, make_weights(seed=3), layers=0)
+        self.assert_matches(inputs, targets, with_layers(make_weights(seed=3), 0))
 
     def test_multi_mode(self):
         inputs, targets = tied_graph(4, MULTI_CFG)
@@ -723,53 +731,82 @@ class TestPerVectorOracle:
             self.assert_matches(inputs, targets, ssgp.init_weights(cfg, seed=seed))
 
 
+def head_bias_weights(node_bias, edge_bias):
+    """Zero weights except the head biases: every node gets the logits
+    ``node_bias`` and every edge ``edge_bias``."""
+    w = zero_weights()
+    w["node_head.bias"].value = np.asarray(node_bias, dtype=np.float64)
+    w["edge_head.bias"].value = np.asarray(edge_bias, dtype=np.float64)
+    return w
+
+
 class TestLoss:
     def test_one_hot_correct_is_zero(self):
-        pred = ssgp.Prediction(
-            node_labels=(1, 2),
-            edge_keys=((1, 2),),
-            node_probs=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-            edge_probs=np.array([[0.0, 0.0, 1.0]]),
-            mode=ssgp.SINGLE,
-        )
-        targets = ssgp.GraphTargets(
-            node_classes=np.array([0, 1]), edge_classes=np.array([2])
-        )
-        assert ssgp.loss(pred, targets) < 1e-6
+        inputs = make_graph()
+        targets = ssgp.GraphTargets(node_classes=np.zeros(3), edge_classes=np.full(4, 2))
+        weights = head_bias_weights([50, 0, 0], [0, 0, 50])
+        tape_loss, _ = ssgp.network_loss(inputs, weights, targets)
+        assert float(tape_loss.value) < 1e-6
 
     def test_uniform_nodes_give_log_c(self):
-        pred = ssgp.Prediction(
-            node_labels=(1, 2, 3),
-            edge_keys=(),
-            node_probs=np.full((3, 3), 1.0 / 3.0),
-            edge_probs=np.empty((0, 3)),
-            mode=ssgp.SINGLE,
-        )
+        inputs = make_graph(edges=())
         targets = ssgp.GraphTargets(
             node_classes=np.array([0, 1, 2]), edge_classes=np.empty(0, dtype=int)
         )
-        assert ssgp.loss(pred, targets) == pytest.approx(math.log(3.0), abs=1e-12)
+        tape_loss, _ = ssgp.network_loss(inputs, zero_weights(), targets)
+        assert float(tape_loss.value) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_out_of_range_label_rejected(self):
-        pred = ssgp.Prediction(
-            node_labels=(1,),
-            edge_keys=(),
-            node_probs=np.array([[0.5, 0.5, 0.0]]),
-            edge_probs=np.empty((0, 3)),
-            mode=ssgp.SINGLE,
-        )
+        inputs = make_graph(n_nodes=1, edges=())
         with pytest.raises(InvalidLabel):
-            ssgp.loss(
-                pred,
+            ssgp.network_loss(
+                inputs,
+                make_weights(),
                 ssgp.GraphTargets(node_classes=np.array([5]), edge_classes=np.empty(0, dtype=int)),
             )
+
+    @pytest.mark.parametrize(
+        "node_classes, edge_classes",
+        [
+            ([0, 1, -1], [0, 1, 2, 0]),  # -1 would pick the last class
+            ([0, 1], [0, 1, 2, 0]),  # a node without a target
+            ([0, 1, 2], [0, -3, 2, 0]),  # -3 would pick the first class
+            ([0, 1, 2], [0, 1, 2]),  # an edge without a target
+            ([0, 1, 2], [0, 1, 3, 0]),
+            ([0, 1, 2, 0], [0, 1, 2, 0]),  # a target without a node
+            ([[0], [1], [2]], [0, 1, 2, 0]),  # the right count in the wrong shape
+        ],
+        ids=[
+            "negative-node",
+            "short-node",
+            "negative-edge",
+            "short-edge",
+            "edge-too-high",
+            "long-node",
+            "2d-node",
+        ],
+    )
+    def test_bad_targets_rejected(self, node_classes, edge_classes):
+        targets = ssgp.GraphTargets(node_classes=node_classes, edge_classes=edge_classes)
+        with pytest.raises(InvalidLabel):
+            ssgp.network_loss(make_graph(), make_weights(), targets)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (3,), (3, 2, 1)])
+    def test_multi_mode_targets_of_wrong_shape_rejected(self, shape):
+        cfg = dataclasses.replace(CFG, num_edge_classes=2, mode=ssgp.MULTI)
+        targets = ssgp.GraphTargets(node_classes=[0, 1, 2], edge_onehot=np.zeros(shape))
+        inputs = make_graph(cfg=cfg, edges=((0, 1), (1, 2), (2, 0)))
+        with pytest.raises(InvalidLabel):
+            ssgp.network_loss(inputs, ssgp.init_weights(cfg, seed=1), targets)
+        ok = ssgp.GraphTargets(node_classes=[0, 1, 2], edge_onehot=np.zeros((3, 2)))
+        ssgp.network_loss(inputs, ssgp.init_weights(cfg, seed=1), ok)
 
     def test_tape_loss_matches_numpy_loss(self):
         w = make_weights()
         inputs = make_graph()
         targets = make_targets(inputs)
         tape_loss, pred = ssgp.network_loss(inputs, w, targets)
-        assert float(tape_loss.value) == pytest.approx(ssgp.loss(pred, targets), abs=1e-9)
+        assert float(tape_loss.value) == pytest.approx(prediction_loss(pred, targets), abs=1e-9)
 
     def test_full_loss_gradients_match_finite_differences(self):
         w = make_weights(seed=5)
@@ -813,9 +850,7 @@ class TestLoss:
             edge_onehot=rng.integers(0, 2, size=(2, 2)).astype(float),
         )
         tape_loss, pred = ssgp.network_loss(inputs, w, targets)
-        assert float(tape_loss.value) == pytest.approx(
-            ssgp.loss(pred, targets, mode=ssgp.MULTI), abs=1e-9
-        )
+        assert float(tape_loss.value) == pytest.approx(prediction_loss(pred, targets), abs=1e-9)
         tape_loss.backward()
         t = w["edge_head.weight"]
         analytic = t.grad.copy()
@@ -836,10 +871,7 @@ class TestLoss:
 
 def separable_graph():
     """Three well-separated nodes and two edges with distinct targets."""
-    patches = np.zeros((3, CFG.patch_dim))
-    patches[0, :4] = 1.0
-    patches[1, 4:8] = 1.0
-    patches[2, 8:12] = 1.0
+    features = np.eye(3, CFG.node_dim)
     points = [
         np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]]),
         np.array([[0.0, 0.0, 1.0], [0.2, 0.0, 1.0], [0.0, 0.2, 1.0]]),
@@ -853,7 +885,7 @@ def separable_graph():
         node_points=points,
         edges=[(0, 1), (1, 2)],
         edge_geometry=geometry,
-        node_patches=patches,
+        node_features=features,
     )
     targets = ssgp.GraphTargets(
         node_classes=np.array([0, 1, 2]), edge_classes=np.array([1, 2])

@@ -4,10 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import read_dot, render_instance_mask_offsets
 from sgmap import seqio, synth
 from sgmap.errors import SceneSpecError
-from sgmap.geometry import CameraIntrinsics, look_at_pose, project_points
-from sgmap.synth import NODE_CLASS_NAMES, PREDICATE_NAMES, PrimitiveSpec, SceneSpec
+from sgmap.geometry import CameraIntrinsics, RigidPose, look_at_pose, project_points
+from sgmap.synth import (
+    NODE_CLASS_NAMES,
+    PREDICATE_NAMES,
+    PrimitiveSpec,
+    SampledScene,
+    SceneSpec,
+)
 
 
 def one_box_scene(seed=5):
@@ -161,6 +168,58 @@ class TestGenerate:
             )
 
 
+def random_scene(rng, n, radii):
+    """``n`` points in and around the view of a 40x30 camera at the origin
+    looking along +z: some behind it, some beyond the border, a quarter
+    sharing the position of another point and a quarter sharing another's
+    depth, with splat radii drawn from ``radii``."""
+    positions = rng.uniform([-2.5, -2.0, -0.5], [2.5, 2.0, 3.0], size=(n, 3))
+    twins = rng.choice(n, size=(n // 4, 2))
+    positions[twins[:, 0]] = positions[twins[:, 1]]
+    level = rng.choice(n, size=(n // 4, 2))
+    positions[level[:, 0], 2] = positions[level[:, 1], 2]
+    return SampledScene(
+        positions=positions,
+        instances=rng.integers(1, 9, size=n),
+        classes=np.zeros(n, dtype=np.int64),
+        birth_frames=np.zeros(n, dtype=np.int64),
+        mask_splats=rng.choice(radii, size=n),
+        instance_classes={},
+    )
+
+
+class TestInstanceMask:
+    """The synth mask against the per-offset reference splat."""
+
+    INTRINSICS = CameraIntrinsics(fx=24.0, fy=24.0, cx=20.0, cy=15.0, width=40, height=30)
+    POSE = RigidPose(rotation=np.eye(3), translation=np.zeros(3))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_offset_oracle_on_random_scenes(self, seed):
+        rng = np.random.default_rng(seed)
+        radii = [[0], [2], [1, 3], [0, 2, 7]][seed % 4]
+        scene = random_scene(rng, int(rng.integers(1, 300)), radii)
+        got = synth._render_instance_mask(scene, self.POSE, self.INTRINSICS)
+        want = render_instance_mask_offsets(scene, self.POSE, self.INTRINSICS)
+        np.testing.assert_array_equal(got, want)
+
+    def test_edge_cases(self):
+        rng = np.random.default_rng(9)
+        behind = random_scene(rng, 20, [2])
+        behind.positions[:, 2] = -1.0
+        corners = random_scene(rng, 4, [7])
+        corners.positions = np.array(
+            [[-0.8333, -0.625, 1.0], [0.8, 0.6, 1.0], [-0.8333, 0.6, 1.0], [0.8, -0.625, 1.0]]
+        )
+        stacked = random_scene(rng, 6, [0, 5])
+        stacked.positions[:] = [0.1, 0.1, 1.5]  # one pixel, one depth: least index wins
+        for scene in (behind, corners, stacked):
+            got = synth._render_instance_mask(scene, self.POSE, self.INTRINSICS)
+            want = render_instance_mask_offsets(scene, self.POSE, self.INTRINSICS)
+            np.testing.assert_array_equal(got, want)
+        assert not synth._render_instance_mask(behind, self.POSE, self.INTRINSICS).any()
+
+
 class TestSeqIo:
     def test_pgm_round_trip(self, tmp_path):
         raster = np.random.default_rng(0).integers(0, 65536, size=(7, 9))
@@ -210,17 +269,24 @@ class TestSeqIo:
 
     def test_malformed_points_reports_line(self, tmp_path):
         path = tmp_path / "bad.points"
-        path.write_text("1 0.0 0.0 0.0\n2 nope 0.0 0.0\n")
-        with pytest.raises(seqio.SequenceFormatError) as err:
-            seqio.read_points(path)
-        assert "bad.points:2" in str(err.value)
+        # ``#`` is data, not a comment
+        for text in ("1 0.0 0.0 0.0\n2 nope 0.0 0.0\n", "1 0 0 0\n2 0 0 0 # x\n"):
+            path.write_text(text)
+            with pytest.raises(seqio.SequenceFormatError) as err:
+                seqio.read_points(path)
+            assert "bad.points:2: expected 'id x y z'" in str(err.value)
 
     def test_ragged_points_lines_rejected(self, tmp_path):
         path = tmp_path / "ragged.points"
-        path.write_text("1 0.1 0.2\n2 0.3 0.4 0.5 0.6\n")
-        with pytest.raises(seqio.SequenceFormatError) as err:
-            seqio.read_points(path)
-        assert "ragged.points:1" in str(err.value)
+        # blank and whitespace-only lines count toward the line number
+        for text, line in (
+            ("1 0.1 0.2\n2 0.3 0.4 0.5 0.6\n", 1),
+            ("\n1 0 0 0\n   \n\n2 0 0\n3 0 0 0\n", 5),
+        ):
+            path.write_text(text)
+            with pytest.raises(seqio.SequenceFormatError) as err:
+                seqio.read_points(path)
+            assert f"ragged.points:{line}:" in str(err.value)
 
     def test_point_ids_parse_exactly_above_2_53(self, tmp_path):
         path = tmp_path / "big.points"
@@ -264,6 +330,64 @@ class TestSeqIo:
                 assert "nan.points:" + str(line) + ": point" in str(err.value)
                 assert "non-finite" in str(err.value)
 
+    def test_blank_points_file_is_empty(self, tmp_path):
+        path = tmp_path / "blank.points"
+        for text in ("", "\n", " \n\t\n"):
+            path.write_text(text)
+            ids, positions = seqio.read_points(path)
+            assert ids.dtype == np.int64 and ids.shape == (0,)
+            assert positions.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("3 0.5 1.0\n4 x 1.0\n", 2),
+            ("3 0.5 1.0\n\n4 0.5\n", 3),
+            ("3 0.5 1.0\n4 0.5 1.0 2.0\n", 2),
+            ("3.5 0.5 1.0\n", 1),
+        ],
+    )
+    def test_malformed_features_report_line(self, tmp_path, text, line):
+        path = tmp_path / "f.feat"
+        path.write_text(text)
+        with pytest.raises(seqio.SequenceFormatError) as err:
+            seqio.read_features(path)
+        assert f"f.feat:{line}: expected 'label and 2 values'" in str(err.value)
+
+    @pytest.mark.parametrize("bad", ["short", "text", "float-int"])
+    def test_malformed_ply_row_reports_line_after_header(self, tmp_path, bad):
+        path = tmp_path / "map.ply"
+        seqio.write_labeled_ply(path, np.arange(12.0).reshape(4, 3), {"label": np.arange(4)})
+        lines = path.read_text().splitlines()
+        row = lines.index("end_header") + 3  # the third body row, 0-based
+        cells = lines[row].split()
+        cells = {
+            "short": cells[:-1],
+            "text": cells[:1] + ["x"] + cells[2:],
+            "float-int": cells[:-1] + ["2.5"],
+        }[bad]
+        lines[row] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(seqio.SequenceFormatError) as err:
+            seqio.read_labeled_ply(path)
+        assert f"map.ply:{row + 1}: expected 'x y z label'" in str(err.value)
+
+    def test_ply_header_without_end_rejected(self, tmp_path):
+        path = tmp_path / "map.ply"
+        seqio.write_labeled_ply(path, np.zeros((1, 3)), {"label": np.arange(1)})
+        path.write_text(path.read_text().replace("end_header\n", "\n"))
+        with pytest.raises(seqio.SequenceFormatError) as err:
+            seqio.read_labeled_ply(path)
+        assert "map.ply: no end_header line" in str(err.value)
+
+    def test_ply_with_fewer_rows_than_promised(self, tmp_path):
+        path = tmp_path / "map.ply"
+        seqio.write_labeled_ply(path, np.zeros((3, 3)), {"label": np.arange(3)})
+        path.write_text(path.read_text().replace("element vertex 3", "element vertex 4"))
+        with pytest.raises(seqio.SequenceFormatError) as err:
+            seqio.read_labeled_ply(path)
+        assert "header promises 4 vertices, found 3" in str(err.value)
+
     def test_raster_of_wrong_shape_rejected_when_read(self, tmp_path):
         out = tmp_path / "seq"
         synth.generate(one_box_scene(), out)
@@ -302,6 +426,6 @@ class TestSeqIo:
         nodes = [(3, "3:table"), (1, "1:floor")]
         edges = [(3, 1, "standing_on"), (1, 3, "attached_to")]
         seqio.write_dot(path, nodes, edges)
-        rnodes, redges = seqio.read_dot(path)
+        rnodes, redges = read_dot(path)
         assert rnodes == sorted(nodes)
         assert redges == sorted(edges)
