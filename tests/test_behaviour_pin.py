@@ -1,12 +1,13 @@
-"""Behaviour pin: ``sgmap synth --preset desk --seed 7`` and ``sgmap run`` on
-its output, against the goldens in ``golden/desk_seed7.json``.
+"""Behaviour pin: ``sgmap synth --preset desk --seed 7`` and ``sgmap synth
+--preset stress-nonuniform``, and ``sgmap run`` on each output, against the
+goldens in ``golden/desk_seed7.json`` and ``golden/stress_nonuniform.json``.
 
 Every synth file, ``map.ply``, ``graph.dot``, ``metrics.json`` and
 ``summary.json`` are pinned by sha256.  ``scene_graph.json`` must match the
 recorded document exactly, except that class and predicate probabilities
 may differ by up to 1e-9.  A change meant to alter behaviour rewrites the
-goldens with ``PYTHONPATH=src python tests/test_behaviour_pin.py`` and says
-so in its description.
+goldens with ``PYTHONPATH=src python tests/test_behaviour_pin.py [NAME ...]``
+(all pins by default) and says so in its description.
 """
 
 import hashlib
@@ -20,7 +21,13 @@ import pytest
 
 from sgmap.cli import main
 
-GOLDEN = Path(__file__).parent / "golden" / "desk_seed7.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# Golden file stem -> ``sgmap synth`` arguments.  stress-nonuniform's three
+# keyframes flip points in both directions through fusion.
+PINS = {
+    "desk_seed7": ["--preset", "desk", "--seed", "7"],
+    "stress_nonuniform": ["--preset", "stress-nonuniform"],
+}
 RUN_FILES = ("map.ply", "graph.dot", "metrics.json", "summary.json")
 PROB_TOL = 1e-9
 
@@ -29,11 +36,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def produce(root: Path) -> dict:
-    """Synthesize desk seed 7 under ``root``, replay it, and collect what
+def _golden(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.json"
+
+
+def produce(root: Path, name: str = "desk_seed7") -> dict:
+    """Synthesize pin ``name`` under ``root``, replay it, and collect what
     the goldens record."""
     seq, out = root / "seq", root / "out"
-    assert main(["synth", "--preset", "desk", "--seed", "7", "--out", str(seq)]) == 0
+    assert main(["synth", *PINS[name], "--out", str(seq)]) == 0
     config = str(seq / "config.json")
     assert main(["run", "--sequence", str(seq), "--config", config, "--out", str(out)]) == 0
     return {
@@ -54,7 +65,7 @@ def produced(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return json.loads(_golden("desk_seed7").read_text())
 
 
 def assert_same_document(got, want, where="scene_graph", probs=False):
@@ -87,6 +98,14 @@ def test_scene_graph_matches_golden(produced, golden):
     assert_same_document(produced["scene_graph"], golden["scene_graph"])
 
 
+def test_stress_nonuniform_matches_golden(tmp_path):
+    produced = produce(tmp_path, "stress_nonuniform")
+    golden = json.loads(_golden("stress_nonuniform").read_text())
+    assert produced["synth"] == golden["synth"]
+    assert produced["run"] == golden["run"]
+    assert_same_document(produced["scene_graph"], golden["scene_graph"])
+
+
 def test_document_comparison_tolerates_only_probabilities(golden):
     doc = json.loads(json.dumps(golden["scene_graph"]))
     doc["nodes"][0]["class_probs"][0] += 0.5 * PROB_TOL
@@ -101,8 +120,9 @@ def test_document_comparison_tolerates_only_probabilities(golden):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = produce(Path(tmp))
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in sys.argv[1:] or PINS:
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = produce(Path(tmp), name)
+        _golden(name).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {_golden(name)}", file=sys.stderr)
