@@ -5,7 +5,10 @@ timings are noisy.  Run them from the root of a checkout with
 
     python -m pytest benchmarks/ --benchmark-only
 
-Each input is built from a fixed seed, so runs are comparable.
+Each input is built from a fixed seed, so runs are comparable.  pytest puts
+``pyproject.toml``'s ``pythonpath = ["src"]`` ahead of ``PYTHONPATH``, so
+``PYTHONPATH=<other checkout>/src`` still times this checkout's sources: to
+time another commit, run pytest from inside a checkout of it.
 """
 
 import copy
@@ -43,8 +46,9 @@ def keyframe_map():
     n = 3000
     pmap = PointMap()
     pmap.upsert_positions(rng.permutation(4 * n)[:n], rng.normal(size=(n, 3)) * [0.8, 0.3, 0.5])
-    for pid in pmap.ids[: 2 * n // 3]:
-        pmap.set_point(int(pid), int(pid) % 5 + 1, 1.0)
+    labeled = slice(2 * n // 3)
+    pmap.labels[labeled] = pmap.ids[labeled] % 5 + 1
+    pmap.weights[labeled] = 1.0
     intrinsics = CameraIntrinsics(fx=288.0, fy=288.0, cx=160.0, cy=120.0, width=320, height=240)
     pose = look_at_pose(np.array([0.0, -2.5, 0.4]), np.zeros(3))
     return pmap, pose, intrinsics
@@ -108,7 +112,7 @@ def clutter_nodes():
             center = [-0.45 + 0.3 * col, -0.45 + 0.3 * row, side / 2.0]
             point_sets.append(rng.uniform(-side / 2, side / 2, size=(168, 3)) + center)
     return [
-        EntityNode(label=i + 1, point_ids=np.arange(len(p)), positions=p, obb=fit_obb(p))
+        EntityNode(label=i + 1, positions=p, obb=fit_obb(p))
         for i, p in enumerate(point_sets)
     ]
 

@@ -21,7 +21,6 @@ DEFAULT_THETA = 0.2
 DEFAULT_SPLAT_RADIUS = 2
 
 UNLABELED = 0
-NO_POINT = -1
 
 
 class AssociationStrategy(enum.Enum):
@@ -62,19 +61,6 @@ class PointMap:
         self._sorted_ids = np.empty(0, dtype=np.int64)
         self._sorted_rows = np.empty(0, dtype=np.int64)
         self.next_label = next_label
-        # Monotone per-label change counters: bumped when a label gains or
-        # loses points or its points move; weight-only updates do not
-        # count.  Lets downstream consumers cache per-label geometry.
-        self._label_versions: dict[int, int] = {}
-
-    def label_version(self, label: int) -> int:
-        return self._label_versions.get(int(label), 0)
-
-    def _bump_labels(self, labels) -> None:
-        for lbl in np.unique(np.asarray(labels)):
-            lbl = int(lbl)
-            if lbl != UNLABELED:
-                self._label_versions[lbl] = self._label_versions.get(lbl, 0) + 1
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -112,27 +98,26 @@ class PointMap:
         return rows
 
     def upsert_positions(self, ids: np.ndarray, positions: np.ndarray) -> None:
-        """Insert new points (unlabeled, weight 0) or refresh positions of
-        existing ones; labels and weights are untouched.
+        """Insert new points (unlabeled, weight 0, in ascending id order) or
+        refresh positions of existing ones; labels and weights are
+        untouched.
 
         Raises:
             ValueError: an id occurs more than once in ``ids``.
         """
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-        sorted_ids = np.sort(ids)
+        order = np.argsort(ids)
+        sorted_ids = ids[order]
         repeat = np.nonzero(sorted_ids[1:] == sorted_ids[:-1])[0]
         if len(repeat):
             raise ValueError(f"duplicate point id {int(sorted_ids[repeat[0]])}")
         known, rows = self._find(ids)
-        if known.any():
-            rows = rows[known]
-            moved = np.any(self._positions[rows] != positions[known], axis=1)
-            if moved.any():
-                self._bump_labels(self._labels[rows[moved]])
-                self._positions[rows] = positions[known]
-        fresh = ~known
-        if fresh.any():
+        self._positions[rows[known]] = positions[known]
+        # New points take rows in ascending id order, so the rows, and
+        # what is read in row order, do not depend on the order of ``ids``.
+        fresh = order[~known[order]]
+        if len(fresh):
             start = len(self._ids)
             new_ids = ids[fresh]
             self._ids = np.concatenate([self._ids, new_ids])
@@ -143,22 +128,11 @@ class PointMap:
             self._weights = np.concatenate(
                 [self._weights, np.zeros(len(new_ids), dtype=np.float64)]
             )
-            new_rows = start + np.arange(len(new_ids))
-            by_new_id = np.argsort(new_ids)
-            at = np.searchsorted(self._sorted_ids, new_ids[by_new_id])
-            self._sorted_ids = np.insert(self._sorted_ids, at, new_ids[by_new_id])
-            self._sorted_rows = np.insert(self._sorted_rows, at, new_rows[by_new_id])
-
-    def set_point(self, point_id: int, label: int, weight: float) -> None:
-        if (label == UNLABELED) != (weight == 0.0):
-            raise InvalidLabel("label 0 must pair with weight 0 and vice versa")
-        row = int(self.rows_of(point_id)[0])
-        if self._labels[row] != label:
-            self._bump_labels([self._labels[row], label])
-        self._labels[row] = label
-        self._weights[row] = weight
-        if label >= self.next_label:
-            self.next_label = label + 1
+            at = np.searchsorted(self._sorted_ids, new_ids)
+            self._sorted_ids = np.insert(self._sorted_ids, at, new_ids)
+            self._sorted_rows = np.insert(
+                self._sorted_rows, at, start + np.arange(len(new_ids))
+            )
 
     def allocate_label(self) -> int:
         label = self.next_label
@@ -181,7 +155,6 @@ class PointMap:
         clone._weights = self._weights.copy()
         clone._sorted_ids = self._sorted_ids.copy()
         clone._sorted_rows = self._sorted_rows.copy()
-        clone._label_versions = dict(self._label_versions)
         return clone
 
 
@@ -190,19 +163,16 @@ class ReferenceRender:
     """Rasterized view of the map from one keyframe.
 
     ``ref_labels``/``ref_conf`` are the splatted label and weight rasters
-    used for association statistics, ``provenance`` the per-pixel winning
-    point id (set exactly where ``ref_labels`` is nonzero).  The
-    ``visible_*`` arrays record the single center projection pixel of every
-    visible point (labeled or not); fusion updates each point once there.
+    used for association statistics.  The ``visible_*`` arrays record the
+    single center projection pixel of every visible point (labeled or
+    not); fusion updates each point once there.
     """
 
     ref_labels: np.ndarray
     ref_conf: np.ndarray
-    provenance: np.ndarray
     visible_ids: np.ndarray
     visible_rows: np.ndarray
     visible_cols: np.ndarray
-    visible_labels: np.ndarray
 
 
 def render_reference(
@@ -213,8 +183,8 @@ def render_reference(
 ) -> ReferenceRender:
     """Project labeled map points into the keyframe.
 
-    Every labeled visible point paints a (2r+1)^2 splat of its label,
-    weight, and id, clipped at the image border; contended pixels keep the
+    Every labeled visible point paints a (2r+1)^2 splat of its label and
+    weight, clipped at the image border; contended pixels keep the
     smallest camera depth, equal depths the smallest point id.
     """
     if splat_radius < 0:
@@ -222,13 +192,10 @@ def render_reference(
     h, w = intrinsics.height, intrinsics.width
     ref_labels = np.zeros((h, w), dtype=np.int64)
     ref_conf = np.zeros((h, w), dtype=np.float64)
-    provenance = np.full((h, w), NO_POINT, dtype=np.int64)
 
     if len(pmap) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return ReferenceRender(
-            ref_labels, ref_conf, provenance, empty, empty.copy(), empty.copy(), empty.copy()
-        )
+        return ReferenceRender(ref_labels, ref_conf, empty, empty.copy(), empty.copy())
 
     uv, _depth, visible = project_points(pmap.positions, pose, intrinsics)
     vis_rows = np.floor(uv[visible, 1]).astype(np.int64)
@@ -252,16 +219,13 @@ def render_reference(
         painted = at + top * w
         ref_labels.reshape(-1)[painted] = vis_labels[winner]
         ref_conf.reshape(-1)[painted] = pmap.weights[visible][winner]
-        provenance.reshape(-1)[painted] = vis_ids[winner]
 
     return ReferenceRender(
         ref_labels=ref_labels,
         ref_conf=ref_conf,
-        provenance=provenance,
         visible_ids=vis_ids,
         visible_rows=vis_rows,
         visible_cols=vis_cols,
-        visible_labels=vis_labels,
     )
 
 
@@ -464,11 +428,6 @@ def fuse(
     new_labels[dis_idx[flip]] = obs[dis_idx[flip]]
     new_weights[dis_idx[flip]] = conf[dis_idx[flip]]
 
-    changed = new_labels != cur_labels
-    if changed.any():
-        pmap._bump_labels(
-            np.concatenate([cur_labels[changed], new_labels[changed]])
-        )
     pmap._labels[map_rows] = new_labels
     pmap._weights[map_rows] = new_weights
     top = int(new_labels.max(initial=0))

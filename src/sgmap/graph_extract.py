@@ -19,7 +19,6 @@ from .entity_map import PointMap, UNLABELED
 from .errors import DegenerateGeometry
 from .geometry import (
     DEFAULT_GRAVITY,
-    CameraIntrinsics,
     GravityConfig,
     NeighbourCache,
     Obb,
@@ -36,21 +35,11 @@ DEFAULT_MIN_POINTS = 10
 DEFAULT_NEIGHBOUR_MARGIN = 0.5
 
 
-@dataclass(frozen=True)
-class Keyframe:
-    """An accepted frame: pose, intrinsics, and a stable id."""
-
-    id: int
-    pose: RigidPose
-    intrinsics: CameraIntrinsics
-
-
 @dataclass
 class EntityNode:
     """One extracted entity: its map label, surviving points, and box."""
 
     label: int
-    point_ids: np.ndarray
     positions: np.ndarray
     obb: Obb
 
@@ -217,8 +206,7 @@ def extract_entity(
         return None
     return EntityNode(
         label=int(label),
-        point_ids=snapshot.ids[rows][keep].copy(),
-        positions=filtered.copy(),
+        positions=filtered,
         obb=obb,
     )
 

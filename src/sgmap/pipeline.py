@@ -36,8 +36,6 @@ from .geometry import GravityConfig, NeighbourCache
 from .graph_extract import (
     REJECT_NO_BOX,
     REJECT_POSE,
-    EntityNode,
-    Keyframe,
     LabelBox,
     build_neighbour,
     extract_entity,
@@ -188,8 +186,7 @@ class IncrementalPipeline:
         self.weights = weights
         self.enable_backend = enable_backend and weights is not None
         self.map = PointMap()
-        self.keyframes: list[Keyframe] = []
-        # The keyframe poses again, stacked for the vectorised pose test.
+        # The keyframe poses, stacked for the vectorised pose test.
         self._rotations = np.empty((0, 3, 3))
         self._translations = np.empty((0, 3))
         # Frames the keyframe gate turned away, by reason.
@@ -201,12 +198,9 @@ class IncrementalPipeline:
             num_edge_classes=config.num_edge_classes,
             omega_max=config.omega_max,
         )
-        self.latest_entities: dict[int, EntityNode] = {}
-        # Per-label geometry cache: (map label version, extracted node,
-        # outlier-filter neighbour table).  Extraction repeats only for
-        # labels whose membership or point positions changed since the
-        # previous tick, and then repairs the neighbour table.
-        self._entity_cache: dict[int, tuple[int, EntityNode | None, NeighbourCache]] = {}
+        # Each live label's outlier-filter neighbour table, repaired by the
+        # label's extraction at every back-end tick.
+        self._neighbours: dict[int, NeighbourCache] = {}
         self.timer = StageTimer()
         self._patch_provider = (
             PatchImageFeatureProvider(weights) if weights is not None else None
@@ -253,8 +247,6 @@ class IncrementalPipeline:
         fuse(self.map, result.consistent, conf_mask, render)
         self.timer.add("label_fusion", time.perf_counter() - t0)
 
-        keyframe = Keyframe(id=frame_index, pose=pose, intrinsics=intrinsics)
-        self.keyframes.append(keyframe)
         self._rotations = np.concatenate([self._rotations, pose.rotation[None]])
         self._translations = np.concatenate([self._translations, pose.translation[None]])
         record = KeyframeRecord(
@@ -266,7 +258,7 @@ class IncrementalPipeline:
 
         self._accumulate_views(labels_mask, table, result.mapping, precomputed_feats)
 
-        if self.enable_backend and len(self.keyframes) % self.config.backend_tick == 0:
+        if self.enable_backend and len(self.records) % self.config.backend_tick == 0:
             t0 = time.perf_counter()
             self._backend_tick()
             self.timer.add("graph_estimation", time.perf_counter() - t0)
@@ -302,53 +294,43 @@ class IncrementalPipeline:
     # -- back end ----------------------------------------------------------
 
     def _backend_tick(self) -> None:
+        """Extract every live label's node from a snapshot, predict the
+        graph over them and fuse it.  Every live label went through a
+        keyframe's ``mapping``, so it has a view feature."""
         snapshot = self.map.snapshot()
+        live = [int(label) for label in snapshot.labels_in_use()]
+        self._neighbours = {
+            label: self._neighbours.get(label) or NeighbourCache() for label in live
+        }
         entities = []
-        live = set()
-        for label in snapshot.labels_in_use():
-            label = int(label)
-            live.add(label)
-            version = snapshot.label_version(label)
-            cached = self._entity_cache.get(label)
-            if cached is None or cached[0] != version:
-                neighbours = NeighbourCache() if cached is None else cached[2]
-                node = extract_entity(
-                    snapshot,
-                    label,
-                    min_points=self.config.min_points,
-                    mean_k=self.config.outlier_mean_k,
-                    std_ratio=self.config.outlier_std_ratio,
-                    gravity=self._gravity,
-                    neighbours=neighbours,
-                )
-                self._entity_cache[label] = (version, node, neighbours)
-            node = self._entity_cache[label][1]
+        for label in live:
+            node = extract_entity(
+                snapshot,
+                label,
+                min_points=self.config.min_points,
+                mean_k=self.config.outlier_mean_k,
+                std_ratio=self.config.outlier_std_ratio,
+                gravity=self._gravity,
+                neighbours=self._neighbours[label],
+            )
             if node is not None:
                 entities.append(node)
-        for stale in set(self._entity_cache) - live:
-            del self._entity_cache[stale]
-        usable = [
-            node
-            for node in entities
-            if node.label in self.views and self.views[node.label].count > 0
-        ]
-        self.latest_entities = {node.label: node for node in usable}
-        if not usable:
+        if not entities:
             return
 
-        src, dst = build_neighbour(usable, margin=self.config.rho, gravity=self._gravity)
+        src, dst = build_neighbour(entities, margin=self.config.rho, gravity=self._gravity)
         inputs = GraphInputs(
-            node_labels=tuple(node.label for node in usable),
-            node_points=[normalize_points(node.positions, node.obb) for node in usable],
+            node_labels=tuple(node.label for node in entities),
+            node_points=[normalize_points(node.positions, node.obb) for node in entities],
             edges=np.stack([src, dst], axis=1),
             edge_geometry=edge_geometry_rows(
-                [node.obb for node in usable],
-                [node.positions for node in usable],
+                [node.obb for node in entities],
+                [node.positions for node in entities],
                 src,
                 dst,
                 self._gravity,
             ),
-            node_features=np.stack([self.views[node.label].value() for node in usable]),
+            node_features=np.stack([self.views[node.label].value() for node in entities]),
         )
         result = forward(inputs, self.weights)
         if not (
@@ -356,9 +338,8 @@ class IncrementalPipeline:
             and np.all(np.isfinite(result.prediction.edge_probs))
         ):
             raise DivergenceError("scene graph prediction produced non-finite values")
-        snapshot_labels = {int(lbl) for lbl in snapshot.labels_in_use()}
         self.global_graph.integrate_prediction(
-            result.prediction, snapshot_labels, entities=self.latest_entities
+            result.prediction, set(live), entities={node.label: node for node in entities}
         )
 
     # -- exports -------------------------------------------------------------
@@ -452,7 +433,7 @@ def run_sequence(
 
     summary = {
         "frames": len(sequence.frames),
-        "keyframes": len(pipeline.keyframes),
+        "keyframes": len(pipeline.records),
         "keyframes_rejected": dict(pipeline.rejected),
         "map_points": int(len(pipeline.map)),
         "labeled_points": int(len(labels)),

@@ -13,7 +13,7 @@ from scipy.spatial import ConvexHull, cKDTree
 
 from sgmap import autodiff as ad
 from sgmap import ssgp
-from sgmap.entity_map import NO_POINT, UNLABELED, AssociationStrategy, ReferenceRender
+from sgmap.entity_map import UNLABELED, AssociationStrategy, ReferenceRender
 from sgmap.geometry import (
     DEFAULT_GRAVITY,
     HALF_PI,
@@ -497,12 +497,9 @@ def render_reference_splat(pmap, pose, intrinsics, splat_radius):
     h, w = intrinsics.height, intrinsics.width
     ref_labels = np.zeros((h, w), dtype=np.int64)
     ref_conf = np.zeros((h, w), dtype=np.float64)
-    provenance = np.full((h, w), NO_POINT, dtype=np.int64)
     if len(pmap) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return ReferenceRender(
-            ref_labels, ref_conf, provenance, empty, empty.copy(), empty.copy(), empty.copy()
-        )
+        return ReferenceRender(ref_labels, ref_conf, empty, empty.copy(), empty.copy())
     uv, depth, visible = project_points(pmap.positions, pose, intrinsics)
     vis_rows = np.floor(uv[visible, 1]).astype(np.int64)
     vis_cols = np.floor(uv[visible, 0]).astype(np.int64)
@@ -539,15 +536,12 @@ def render_reference_splat(pmap, pose, intrinsics, splat_radius):
         ws = src[winner]
         ref_labels.reshape(-1)[wf] = labels0[ws]
         ref_conf.reshape(-1)[wf] = weights0[ws]
-        provenance.reshape(-1)[wf] = ids0[ws]
     return ReferenceRender(
         ref_labels=ref_labels,
         ref_conf=ref_conf,
-        provenance=provenance,
         visible_ids=vis_ids,
         visible_rows=vis_rows,
         visible_cols=vis_cols,
-        visible_labels=vis_labels,
     )
 
 

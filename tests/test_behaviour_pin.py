@@ -13,10 +13,12 @@ goldens with ``PYTHONPATH=src python tests/test_behaviour_pin.py [NAME ...]``
 import hashlib
 import json
 import math
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sgmap.cli import main
@@ -104,6 +106,28 @@ def test_stress_nonuniform_matches_golden(tmp_path):
     assert produced["synth"] == golden["synth"]
     assert produced["run"] == golden["run"]
     assert_same_document(produced["scene_graph"], golden["scene_graph"])
+
+
+def test_point_line_order_does_not_show(tmp_path):
+    """Permuting the lines of every ``.points`` file of desk seed 7 leaves
+    every run output byte-identical."""
+    seq, permuted = tmp_path / "seq", tmp_path / "permuted"
+    assert main(["synth", *PINS["desk_seed7"], "--out", str(seq)]) == 0
+    shutil.copytree(seq, permuted)
+    rng = np.random.default_rng(17)
+    for path in sorted((permuted / "frames").glob("*.points")):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+    assert (permuted / "frames" / "000000.points").read_text() != (
+        seq / "frames" / "000000.points"
+    ).read_text()
+    outputs = []
+    for sequence in (seq, permuted):
+        out = tmp_path / f"out-{sequence.name}"
+        config = str(seq / "config.json")
+        assert main(["run", "--sequence", str(sequence), "--config", config, "--out", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in (*RUN_FILES, "scene_graph.json")})
+    assert outputs[0] == outputs[1]
 
 
 def test_document_comparison_tolerates_only_probabilities(golden):

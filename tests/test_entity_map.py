@@ -13,6 +13,7 @@ from oracles import (
     render_reference_splat,
 )
 from sgmap.entity_map import (
+    UNLABELED,
     AssociationConfig,
     AssociationStrategy,
     PointMap,
@@ -26,23 +27,27 @@ from sgmap.errors import InvalidLabel
 from sgmap.geometry import CameraIntrinsics, look_at_pose
 
 
-def make_render(ref_labels, ref_conf, visible=None):
-    ref_labels = np.asarray(ref_labels, dtype=np.int64)
-    ref_conf = np.asarray(ref_conf, dtype=np.float64)
-    provenance = np.where(ref_labels != 0, 1, -1).astype(np.int64)
-    if visible is None:
-        empty = np.empty(0, dtype=np.int64)
-        visible = (empty, empty.copy(), empty.copy(), empty.copy())
-    ids, rows, cols, labels = visible
+def make_render(ref_labels, ref_conf):
+    """A render of the given rasters with no visible points."""
+    empty = np.empty(0, dtype=np.int64)
     return ReferenceRender(
-        ref_labels=ref_labels,
-        ref_conf=ref_conf,
-        provenance=provenance,
-        visible_ids=np.asarray(ids, dtype=np.int64),
-        visible_rows=np.asarray(rows, dtype=np.int64),
-        visible_cols=np.asarray(cols, dtype=np.int64),
-        visible_labels=np.asarray(labels, dtype=np.int64),
+        ref_labels=np.asarray(ref_labels, dtype=np.int64),
+        ref_conf=np.asarray(ref_conf, dtype=np.float64),
+        visible_ids=empty,
+        visible_rows=empty.copy(),
+        visible_cols=empty.copy(),
     )
+
+
+def set_point(pmap, point_id, label, weight):
+    """Give one existing map point a label and weight in place, as fusion
+    would; ``KeyError`` names an unknown id."""
+    if (label == UNLABELED) != (weight == 0.0):
+        raise ValueError("label 0 must pair with weight 0 and vice versa")
+    row = int(pmap.rows_of(point_id)[0])
+    pmap.labels[row] = label
+    pmap.weights[row] = weight
+    pmap.next_label = max(pmap.next_label, label + 1)
 
 
 def single_point_map(positions_labels_weights):
@@ -51,7 +56,7 @@ def single_point_map(positions_labels_weights):
     pmap.upsert_positions(ids, np.array([p for p, _, _ in positions_labels_weights]))
     for pid, (_, lbl, w) in zip(ids, positions_labels_weights):
         if lbl:
-            pmap.set_point(int(pid), lbl, w)
+            set_point(pmap, int(pid), lbl, w)
     return pmap
 
 
@@ -69,7 +74,7 @@ class TestRenderReference:
     def test_empty_map_renders_zero(self):
         render = render_reference(PointMap(), self.pose, self.K)
         assert not render.ref_labels.any()
-        assert not render.provenance[render.provenance >= 0].size
+        assert not render.ref_conf.any()
         assert len(render.visible_ids) == 0
 
     def test_single_point_splat_footprint(self):
@@ -82,7 +87,6 @@ class TestRenderReference:
         np.testing.assert_array_equal(
             render.ref_conf[render.ref_labels == 7], np.full(25, 0.9)
         )
-        assert np.all(render.provenance[render.ref_labels == 7] == 1)
 
     def test_depth_contention_prefers_near_point(self):
         pmap = single_point_map(
@@ -91,7 +95,7 @@ class TestRenderReference:
         render = render_reference(pmap, self.pose, self.K, splat_radius=1)
         center = render.ref_labels[60, 80]
         assert center == 2  # depth 1 beats depth 2
-        assert render.provenance[60, 80] == 2
+        assert render.ref_conf[60, 80] == 0.6
 
     def test_equal_depth_tie_prefers_lower_id(self):
         pmap = single_point_map(
@@ -99,29 +103,21 @@ class TestRenderReference:
         )
         render = render_reference(pmap, self.pose, self.K, splat_radius=0)
         assert render.ref_labels[60, 80] == 4
-        assert render.provenance[60, 80] == 1
+        assert render.ref_conf[60, 80] == 0.5
 
-    def test_provenance_exactly_where_labeled(self):
+    def test_unlabeled_point_visible_but_unpainted(self):
         pmap = single_point_map(
             [((0.2, 0.0, 0.1), 3, 1.0), ((-0.3, 0.0, -0.2), 5, 0.4), ((0.0, 0.0, 0.9), 0, 0.0)]
         )
         render = render_reference(pmap, self.pose, self.K)
-        np.testing.assert_array_equal(
-            render.provenance >= 0, render.ref_labels != 0
-        )
-        # the unlabeled point is still tracked for fusion
-        assert 3 in render.visible_ids
-        assert render.visible_labels[render.visible_ids == 3][0] == 0
+        np.testing.assert_array_equal(render.ref_conf > 0, render.ref_labels != 0)
+        assert set(np.unique(render.ref_labels)) == {0, 3, 5}
+        # the unlabeled point is still tracked for fusion, and paints nothing
+        at = np.flatnonzero(render.visible_ids == 3)
+        assert len(at) == 1
+        assert render.ref_labels[render.visible_rows[at], render.visible_cols[at]] == 0
 
-    FIELDS = (
-        "ref_labels",
-        "ref_conf",
-        "provenance",
-        "visible_ids",
-        "visible_rows",
-        "visible_cols",
-        "visible_labels",
-    )
+    FIELDS = ("ref_labels", "ref_conf", "visible_ids", "visible_rows", "visible_cols")
 
     def assert_matches_splat_oracle(self, pmap, radius):
         got = render_reference(pmap, self.pose, self.K, splat_radius=radius)
@@ -148,7 +144,7 @@ class TestRenderReference:
         pmap = PointMap()
         pmap.upsert_positions(rng.permutation(10 * n)[:n] + 1, pos)
         for pid in pmap.ids[rng.random(n) < labeled_share]:
-            pmap.set_point(int(pid), int(rng.integers(1, 5)), float(rng.uniform(0.1, 2.0)))
+            set_point(pmap, int(pid), int(rng.integers(1, 5)), float(rng.uniform(0.1, 2.0)))
         return pmap
 
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
@@ -172,7 +168,7 @@ class TestRenderReference:
         pmap = PointMap()
         pmap.upsert_positions(np.arange(len(corners)) * 7 + 3, np.array(corners))
         for i, pid in enumerate(pmap.ids):
-            pmap.set_point(int(pid), 1 + i % 3, 0.5 + i)
+            set_point(pmap, int(pid), 1 + i % 3, 0.5 + i)
         for radius in range(4):
             self.assert_matches_splat_oracle(pmap, radius)
 
@@ -422,7 +418,7 @@ class TestFuse:
         pts = rng.uniform(-0.5, 0.5, size=(n, 3))
         pmap.upsert_positions(ids, pts)
         for pid in ids[: n // 2]:
-            pmap.set_point(int(pid), int(rng.integers(1, 4)), float(rng.uniform(0.1, 1.0)))
+            set_point(pmap, int(pid), int(rng.integers(1, 4)), float(rng.uniform(0.1, 1.0)))
         for _ in range(6):
             render = render_reference(pmap, self.pose, self.K, splat_radius=1)
             consistent = rng.integers(0, 4, size=(120, 160)).astype(np.int64)
@@ -479,14 +475,13 @@ class TestPointMapIndex:
         pmap = PointMap()
         pmap.upsert_positions([40, 7, 19], np.arange(9.0).reshape(3, 3))
         pmap.upsert_positions([19, 2, 40], -np.arange(9.0).reshape(3, 3))
-        np.testing.assert_array_equal(pmap.ids, [40, 7, 19, 2])
-        np.testing.assert_array_equal(pmap.rows_of([2, 40, 7, 19]), [3, 0, 1, 2])
-        np.testing.assert_array_equal(pmap.positions[[2, 3, 0]], -np.arange(9.0).reshape(3, 3))
-        np.testing.assert_array_equal(pmap.positions[1], [3.0, 4.0, 5.0])
+        # each call appends its new points in ascending id order
+        np.testing.assert_array_equal(pmap.ids, [7, 19, 40, 2])
+        np.testing.assert_array_equal(pmap.rows_of([2, 40, 7, 19]), [3, 2, 0, 1])
+        np.testing.assert_array_equal(pmap.positions[[1, 3, 2]], -np.arange(9.0).reshape(3, 3))
+        np.testing.assert_array_equal(pmap.positions[0], [3.0, 4.0, 5.0])
         with pytest.raises(KeyError):
             pmap.rows_of([2, 8])
-        with pytest.raises(KeyError):
-            pmap.set_point(1000, 1, 1.0)
 
     def test_snapshot_index_is_independent(self):
         pmap = PointMap()
@@ -496,5 +491,5 @@ class TestPointMapIndex:
         assert len(snap) == 2
         with pytest.raises(KeyError):
             snap.rows_of([2])
-        snap.set_point(1, 4, 1.0)
+        set_point(snap, 1, 4, 1.0)
         assert point_state(pmap, 1).label == 0 and point_state(snap, 1).label == 4

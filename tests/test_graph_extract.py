@@ -13,6 +13,7 @@ from oracles import (
 from sgmap.entity_map import PointMap
 from sgmap.geometry import (
     GravityConfig,
+    NeighbourCache,
     Obb,
     RigidPose,
     fit_obb,
@@ -31,6 +32,7 @@ from sgmap.graph_extract import (
     rotation_angle_deg,
     select_keyframe,
 )
+from test_entity_map import set_point
 
 
 def pose_at(eye, target=(0.0, 0.0, 0.0)):
@@ -275,7 +277,7 @@ def populated_map():
         ids = np.arange(pid, pid + len(pts))
         pmap.upsert_positions(ids, pts)
         for i in ids:
-            pmap.set_point(int(i), label, 1.0)
+            set_point(pmap, int(i), label, 1.0)
         pid += len(pts)
     return pmap
 
@@ -296,7 +298,7 @@ class TestExtractEntities:
         np.testing.assert_allclose(node.obb.center, expected.center)
         np.testing.assert_allclose(node.obb.dims, expected.dims)
         assert node.obb.yaw == expected.yaw
-        np.testing.assert_array_equal(node.point_ids, pmap.ids[rows][keep])
+        np.testing.assert_array_equal(node.positions, pts[keep])
 
     def test_deterministic_under_point_id_permutation(self):
         rng = np.random.default_rng(5)
@@ -308,21 +310,45 @@ class TestExtractEntities:
         b.upsert_positions(np.arange(1, 31)[perm], pts[perm])
         for pmap in (a, b):
             for pid in range(1, 31):
-                pmap.set_point(pid, 4, 1.0)
+                set_point(pmap, pid, 4, 1.0)
         na = extract_entity(a, 4, min_points=5)
         nb = extract_entity(b, 4, min_points=5)
         np.testing.assert_allclose(na.obb.center, nb.obb.center)
         np.testing.assert_allclose(na.obb.dims, nb.obb.dims)
-        assert sorted(na.point_ids) == sorted(nb.point_ids)
+        np.testing.assert_array_equal(
+            na.positions[np.lexsort(na.positions.T)], nb.positions[np.lexsort(nb.positions.T)]
+        )
 
     def test_empty_map(self):
         assert extract_entity(PointMap(), 1) is None
+
+    def test_unchanged_snapshot_gives_equal_node_and_keeps_cache(self):
+        # The back end extracts every live label at every tick; on a label
+        # whose points did not change, its repaired neighbour table must
+        # reproduce the node of a full query and stay as it was.
+        pmap = populated_map()
+        cache = NeighbourCache()
+        first = extract_entity(pmap, 1, neighbours=cache)
+        assert cache.dists.shape == (40, 17)
+        kept = {name: getattr(cache, name).copy() for name in ("keys", "positions", "dists", "index")}
+        for again in (
+            extract_entity(pmap.snapshot(), 1, neighbours=cache),
+            extract_entity(pmap.snapshot(), 1, neighbours=cache),
+            extract_entity(pmap.snapshot(), 1),
+        ):
+            assert again.label == first.label
+            np.testing.assert_array_equal(again.positions, first.positions)
+            np.testing.assert_array_equal(again.obb.center, first.obb.center)
+            np.testing.assert_array_equal(again.obb.dims, first.obb.dims)
+            assert again.obb.yaw == first.obb.yaw
+        for name, array in kept.items():
+            assert getattr(cache, name).dtype == array.dtype, name
+            np.testing.assert_array_equal(getattr(cache, name), array, err_msg=name)
 
 
 def node_with_box(label, center, dims=(1.0, 1.0, 1.0), yaw=0.0):
     return EntityNode(
         label=label,
-        point_ids=np.array([label]),
         positions=np.asarray(center, dtype=float).reshape(1, 3),
         obb=Obb(center=center, dims=dims, yaw=yaw),
     )

@@ -117,7 +117,7 @@ class TestRunSequence:
     def test_frontend_only_replay(self, desk_sequence, small_config):
         config, _ = small_config
         pipeline = replay_frontend(seqio.read_sequence(desk_sequence), config)
-        assert len(pipeline.records) == len(pipeline.keyframes) > 0
+        assert len(pipeline.records) == len(pipeline._rotations) > 0
         positions, labels, weights = pipeline.labeled_points()
         assert len(positions) == len(labels) == len(weights)
         assert np.all(weights > 0)
@@ -178,7 +178,7 @@ class TestKeyframeGate:
         pipeline = replay_frontend(seqio.read_sequence(gated_sequence), config)
         assert pipeline.rejected["pose"] == 6
         assert len(calls) == 14 - pipeline.rejected["pose"]
-        assert len(calls) == len(pipeline.keyframes) + pipeline.rejected["no_box"]
+        assert len(calls) == len(pipeline.records) + pipeline.rejected["no_box"]
 
 
 class TestCli:
@@ -354,8 +354,8 @@ class TestCli:
         # (200 px) rejects it
         config = PipelineConfig(min_box_px=12) if keyframe else PipelineConfig()
         config.save(tmp_path / "config.json")
-        accepted = replay_frontend(seqio.read_sequence(seq_dir), config).keyframes
-        assert (1 in [kf.id for kf in accepted]) == keyframe
+        accepted = replay_frontend(seqio.read_sequence(seq_dir), config).records
+        assert (1 in [record.frame_index for record in accepted]) == keyframe
         raster = seq_dir / "frames" / f"000001.{suffix}"
         seqio.write_pgm16(raster, seqio.read_pgm16(raster)[:-1])
         code = main([
