@@ -121,10 +121,10 @@ def test_point_line_order_does_not_show(tmp_path):
     assert (permuted / "frames" / "000000.points").read_text() != (
         seq / "frames" / "000000.points"
     ).read_text()
+    config = str(seq / "config.json")
     outputs = []
     for sequence in (seq, permuted):
         out = tmp_path / f"out-{sequence.name}"
-        config = str(seq / "config.json")
         assert main(["run", "--sequence", str(sequence), "--config", config, "--out", str(out)]) == 0
         outputs.append({name: (out / name).read_bytes() for name in (*RUN_FILES, "scene_graph.json")})
     assert outputs[0] == outputs[1]
