@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sgmap import seqio, synth
-from sgmap.entity_map import PointMap, render_reference
+from sgmap.entity_map import AssociationConfig, PointMap, associate, fuse, render_reference
 from sgmap.geometry import (
     CameraIntrinsics,
     NeighbourCache,
@@ -87,14 +87,32 @@ def test_upsert_positions(benchmark, keyframe_map):
     pmap, _, _ = keyframe_map
     rng = np.random.default_rng(2)
     # a frame: 2500 known points in file order, 100 of them moved, 100 new
-    ids = np.concatenate([rng.permutation(pmap.ids)[:2500], np.arange(10**6, 10**6 + 100)])
-    positions = np.vstack([pmap.positions[pmap.rows_of(ids[:2500])], rng.normal(size=(100, 3))])
+    rows = rng.permutation(len(pmap))[:2500]
+    ids = np.concatenate([pmap.ids[rows], np.arange(10**6, 10**6 + 100)])
+    positions = np.vstack([pmap.positions[rows], rng.normal(size=(100, 3))])
     positions[rng.choice(2500, 100, replace=False)] += 0.01
 
     def setup():
         return (pmap.snapshot(), ids, positions), {}
 
     benchmark.pedantic(lambda m, i, p: m.upsert_positions(i, p), setup=setup, rounds=200)
+
+
+def test_associate_and_fuse(benchmark, keyframe_map, stream_gate):
+    """One keyframe's label fusion: render the map, match the four labels
+    of the stream mask against it and fold the mask in."""
+    pmap, pose, intrinsics = keyframe_map
+    mask = stream_gate[3]
+    conf = np.where(mask != 0, 0.8, 0.0)
+
+    def label_fusion(target):
+        render = render_reference(target, pose, intrinsics, splat_radius=2)
+        result = associate(mask, conf, render, AssociationConfig(), target)
+        fuse(target, result.consistent, conf, render)
+        return result
+
+    assert sorted(label_fusion(pmap.snapshot()).mapping) == [1, 2, 3, 4]
+    benchmark.pedantic(label_fusion, setup=lambda: ((pmap.snapshot(),), {}), rounds=200)
 
 
 @pytest.fixture(scope="module")

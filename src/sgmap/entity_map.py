@@ -81,22 +81,6 @@ class PointMap:
     def weights(self) -> np.ndarray:
         return self._weights
 
-    def _find(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(known, rows) for an id array; ``rows`` is only valid where
-        ``known``."""
-        if len(self._sorted_ids) == 0:
-            return np.zeros(len(ids), dtype=bool), np.zeros(len(ids), dtype=np.int64)
-        at = np.minimum(np.searchsorted(self._sorted_ids, ids), len(self._sorted_ids) - 1)
-        return self._sorted_ids[at] == ids, self._sorted_rows[at]
-
-    def rows_of(self, ids) -> np.ndarray:
-        """Rows of existing point ids; ``KeyError`` names an unknown one."""
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        known, rows = self._find(ids)
-        if not known.all():
-            raise KeyError(int(ids[np.argmin(known)]))
-        return rows
-
     def upsert_positions(self, ids: np.ndarray, positions: np.ndarray) -> None:
         """Insert new points (unlabeled, weight 0, in ascending id order) or
         refresh positions of existing ones; labels and weights are
@@ -112,8 +96,10 @@ class PointMap:
         repeat = np.nonzero(sorted_ids[1:] == sorted_ids[:-1])[0]
         if len(repeat):
             raise ValueError(f"duplicate point id {int(sorted_ids[repeat[0]])}")
-        known, rows = self._find(ids)
-        self._positions[rows[known]] = positions[known]
+        at = np.searchsorted(self._sorted_ids, ids)
+        known = at < len(self._sorted_ids)
+        known[known] = self._sorted_ids[at[known]] == ids[known]
+        self._positions[self._sorted_rows[at[known]]] = positions[known]
         # New points take rows in ascending id order, so the rows, and
         # what is read in row order, do not depend on the order of ``ids``.
         fresh = order[~known[order]]
@@ -163,14 +149,14 @@ class ReferenceRender:
     """Rasterized view of the map from one keyframe.
 
     ``ref_labels``/``ref_conf`` are the splatted label and weight rasters
-    used for association statistics.  The ``visible_*`` arrays record the
-    single center projection pixel of every visible point (labeled or
-    not); fusion updates each point once there.
+    used for association statistics.  Every visible point (labeled or
+    not) has its map row in ``visible_points`` and its center projection
+    pixel in ``visible_rows``/``visible_cols``, where fusion updates it once.
     """
 
     ref_labels: np.ndarray
     ref_conf: np.ndarray
-    visible_ids: np.ndarray
+    visible_points: np.ndarray
     visible_rows: np.ndarray
     visible_cols: np.ndarray
 
@@ -193,81 +179,78 @@ def render_reference(
     ref_labels = np.zeros((h, w), dtype=np.int64)
     ref_conf = np.zeros((h, w), dtype=np.float64)
 
-    if len(pmap) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return ReferenceRender(ref_labels, ref_conf, empty, empty.copy(), empty.copy())
+    uv, depth, visible = project_points(pmap.positions, pose, intrinsics)
+    points = np.flatnonzero(visible)
+    vis_rows = np.floor(uv[points, 1]).astype(np.int64)
+    vis_cols = np.floor(uv[points, 0]).astype(np.int64)
 
-    uv, _depth, visible = project_points(pmap.positions, pose, intrinsics)
-    vis_rows = np.floor(uv[visible, 1]).astype(np.int64)
-    vis_cols = np.floor(uv[visible, 0]).astype(np.int64)
-    vis_ids = pmap.ids[visible]
-    vis_labels = pmap.labels[visible]
-    vis_depth = _depth[visible]
-
-    labeled = np.nonzero(vis_labels != UNLABELED)[0]
+    labeled = np.flatnonzero(pmap.labels[points] != UNLABELED)
     if len(labeled):
         # A pixel shows the labeled point of least (depth, id) among those
         # whose centre lies within ``splat_radius`` of it (Chebyshev): the
         # least rank in that order.  Ids are unique, so no two points tie
         # on (depth, id).
-        order = labeled[np.lexsort((vis_ids[labeled], vis_depth[labeled]))]
+        map_rows = points[labeled]
+        order = labeled[np.lexsort((pmap.ids[map_rows], depth[map_rows]))]
         top, rank = splat_min(
             vis_rows[order], vis_cols[order], np.arange(len(order)), splat_radius, (h, w)
         )
         at = np.flatnonzero(rank != UNREACHED)
-        winner = order[rank.reshape(-1)[at]]
+        winner = points[order[rank.reshape(-1)[at]]]
         painted = at + top * w
-        ref_labels.reshape(-1)[painted] = vis_labels[winner]
-        ref_conf.reshape(-1)[painted] = pmap.weights[visible][winner]
+        ref_labels.reshape(-1)[painted] = pmap.labels[winner]
+        ref_conf.reshape(-1)[painted] = pmap.weights[winner]
 
     return ReferenceRender(
         ref_labels=ref_labels,
         ref_conf=ref_conf,
-        visible_ids=vis_ids,
+        visible_points=points,
         visible_rows=vis_rows,
         visible_cols=vis_cols,
     )
 
 
-def _overlap_stats(
-    img: np.ndarray, ref_labels: np.ndarray, ref_conf: np.ndarray
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], float], dict[int, int], dict[int, int]]:
-    """Per-(input label, reference label) overlap pixel counts and summed
-    reference confidences, plus per-label pixel totals.
+@dataclass(frozen=True)
+class _Overlap:
+    """Overlap of an input mask with a reference render, one entry per
+    (input label, reference label) pair sharing a pixel, in ascending pair
+    order.
 
-    Sums accumulate in flat row-major pixel order so independent per-pixel
-    reimplementations reproduce them bit for bit.
+    ``conf_sum`` accumulates in flat row-major pixel order so independent
+    per-pixel reimplementations reproduce it bit for bit.
     """
+
+    img_label: np.ndarray
+    ref_label: np.ndarray
+    count: np.ndarray
+    conf_sum: np.ndarray
+    img_total: np.ndarray
+    ref_total: np.ndarray
+    img_labels: np.ndarray  # every nonzero input label, ascending
+
+
+def _overlap_stats(img: np.ndarray, ref_labels: np.ndarray, ref_conf: np.ndarray) -> _Overlap:
     img_flat = img.reshape(-1)
     ref_flat = ref_labels.reshape(-1)
-    conf_flat = ref_conf.reshape(-1)
-
-    img_totals = {
-        int(lbl): int(cnt)
-        for lbl, cnt in zip(*np.unique(img_flat[img_flat != 0], return_counts=True))
-    }
-    ref_totals = {
-        int(lbl): int(cnt)
-        for lbl, cnt in zip(*np.unique(ref_flat[ref_flat != 0], return_counts=True))
-    }
-
-    both = (img_flat != 0) & (ref_flat != 0)
-    overlap_counts: dict[tuple[int, int], int] = {}
-    conf_sums: dict[tuple[int, int], float] = {}
-    if both.any():
-        ref_max = int(ref_flat.max()) + 1
-        code = img_flat[both] * ref_max + ref_flat[both]
-        # Compact the sparse pair codes before binning so arbitrary label
-        # ids stay cheap; bincount accumulates sequentially in pixel order,
-        # which keeps the sums reproducible bit for bit.
-        uniq, inverse = np.unique(code, return_inverse=True)
-        counts = np.bincount(inverse)
-        sums = np.bincount(inverse, weights=conf_flat[both])
-        for i, c in enumerate(uniq):
-            key = (int(c) // ref_max, int(c) % ref_max)
-            overlap_counts[key] = int(counts[i])
-            conf_sums[key] = float(sums[i])
-    return overlap_counts, conf_sums, img_totals, ref_totals
+    img_on, ref_on = img_flat != 0, ref_flat != 0
+    img_ids, img_totals = np.unique(img_flat[img_on], return_counts=True)
+    ref_ids, ref_totals = np.unique(ref_flat[ref_on], return_counts=True)
+    both = img_on & ref_on
+    # Codes sort in (input, reference) order.  Compacting them before
+    # binning keeps arbitrary label ids cheap; bincount sums sequentially
+    # in pixel order.
+    ref_max = int(ref_flat.max(initial=0)) + 1
+    pairs, inverse = np.unique(img_flat[both] * ref_max + ref_flat[both], return_inverse=True)
+    il, rl = np.divmod(pairs, ref_max)
+    return _Overlap(
+        img_label=il,
+        ref_label=rl,
+        count=np.bincount(inverse, minlength=len(pairs)),
+        conf_sum=np.bincount(inverse, weights=ref_conf.reshape(-1)[both], minlength=len(pairs)),
+        img_total=img_totals[np.searchsorted(img_ids, il)],
+        ref_total=ref_totals[np.searchsorted(ref_ids, rl)],
+        img_labels=img_ids,
+    )
 
 
 def mean_confidence(
@@ -277,11 +260,11 @@ def mean_confidence(
     one reference label; 0 when they do not overlap."""
     if img_label == UNLABELED or ref_label == UNLABELED:
         raise InvalidLabel("mean confidence is undefined for label 0")
-    counts, sums, _, _ = _overlap_stats(img, render.ref_labels, render.ref_conf)
-    key = (int(img_label), int(ref_label))
-    if key not in counts:
+    table = _overlap_stats(img, render.ref_labels, render.ref_conf)
+    hit = np.flatnonzero((table.img_label == img_label) & (table.ref_label == ref_label))
+    if len(hit) == 0:
         return 0.0
-    return sums[key] / counts[key]
+    return float(table.conf_sum[hit[0]] / table.count[hit[0]])
 
 
 @dataclass(frozen=True)
@@ -312,55 +295,37 @@ def associate(
     """
     if img.shape != img_conf.shape or img.shape != render.ref_labels.shape:
         raise ValueError("mask shapes must match the render")
-    counts, sums, img_totals, ref_totals = _overlap_stats(
-        img, render.ref_labels, render.ref_conf
-    )
+    t = _overlap_stats(img, render.ref_labels, render.ref_conf)
 
-    candidates: dict[int, list[tuple[float, int]]] = {}
-    for lbl in img_totals:
-        scored: list[tuple[float, int]] = []
-        for (il, rl), cnt in counts.items():
-            if il != lbl:
-                continue
-            if cfg.strategy is AssociationStrategy.IOU:
-                union = img_totals[il] + ref_totals[rl] - cnt
-                score = cnt / union
-                if score <= cfg.theta:
-                    continue
-            else:
-                coverage = cnt / ref_totals[rl]
-                if coverage <= cfg.theta:
-                    continue
-                if cfg.strategy is AssociationStrategy.MEAN_CONFIDENCE:
-                    score = sums[(il, rl)] / cnt
-                else:
-                    score = float(cnt)
-            scored.append((score, rl))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        candidates[lbl] = scored
-
-    order = sorted(
-        candidates,
-        key=lambda lbl: (
-            -(candidates[lbl][0][0] if candidates[lbl] else -np.inf),
-            lbl,
-        ),
-    )
+    if cfg.strategy is AssociationStrategy.IOU:
+        score = t.count / (t.img_total + t.ref_total - t.count)
+        keep = score > cfg.theta
+    else:
+        keep = t.count / t.ref_total > cfg.theta
+        if cfg.strategy is AssociationStrategy.MEAN_CONFIDENCE:
+            score = t.conf_sum / t.count
+        else:
+            score = t.count.astype(np.float64)
+    il, rl, score = t.img_label[keep], t.ref_label[keep], score[keep]
+    # Each input label's candidates in one run, best score first.
+    order = np.lexsort((rl, -score, il))
+    il, rl, score = il[order], rl[order], score[order]
+    start = np.searchsorted(il, t.img_labels)
+    stop = np.searchsorted(il, t.img_labels, side="right")
+    best = np.full(len(t.img_labels), -np.inf)
+    np.maximum.at(best, np.searchsorted(t.img_labels, il), score)
 
     mapping: dict[int, int] = {}
     new_labels: list[int] = []
     taken: set[int] = set()
-    for lbl in order:
-        assigned = None
-        for _score, rl in candidates[lbl]:
-            if rl not in taken:
-                assigned = rl
-                break
+    candidates, start, stop = rl.tolist(), start.tolist(), stop.tolist()
+    for k in np.lexsort((t.img_labels, -best)).tolist():
+        assigned = next((ref for ref in candidates[start[k] : stop[k]] if ref not in taken), None)
         if assigned is None:
             assigned = pmap.allocate_label()
             new_labels.append(assigned)
         taken.add(assigned)
-        mapping[lbl] = assigned
+        mapping[int(t.img_labels[k])] = assigned
 
     # One lookup for all pixels; every label of ``img`` is a key, and 0 maps
     # to 0.  The table is indexed by label while it is no larger than the
@@ -395,41 +360,20 @@ def fuse(
     observed label outright.  Zero-confidence pixels are no-ops so labeled
     points always keep strictly positive weight.
     """
-    if len(render.visible_ids) == 0:
-        return
-    rows = render.visible_rows
-    cols = render.visible_cols
-    obs = consistent[rows, cols]
-    conf = img_conf[rows, cols]
+    obs = consistent[render.visible_rows, render.visible_cols]
+    conf = img_conf[render.visible_rows, render.visible_cols]
     active = (obs != UNLABELED) & (conf > 0.0)
-    if not active.any():
-        return
-
-    ids = render.visible_ids[active]
+    rows = render.visible_points[active]
     obs = obs[active]
     conf = conf[active]
-    map_rows = pmap.rows_of(ids)
-    cur_labels = pmap._labels[map_rows]
-    cur_weights = pmap._weights[map_rows]
+    label = pmap._labels[rows]
+    weight = pmap._weights[rows]
 
-    adopt = cur_labels == UNLABELED
-    agree = ~adopt & (cur_labels == obs)
-    disagree = ~adopt & ~agree
-
-    new_labels = cur_labels.copy()
-    new_weights = cur_weights.copy()
-    new_labels[adopt] = obs[adopt]
-    new_weights[adopt] = conf[adopt]
-    new_weights[agree] = cur_weights[agree] + conf[agree]
-    lowered = cur_weights[disagree] - conf[disagree]
-    flip = lowered <= 0.0
-    dis_idx = np.nonzero(disagree)[0]
-    new_weights[dis_idx] = lowered
-    new_labels[dis_idx[flip]] = obs[dis_idx[flip]]
-    new_weights[dis_idx[flip]] = conf[dis_idx[flip]]
-
-    pmap._labels[map_rows] = new_labels
-    pmap._weights[map_rows] = new_weights
-    top = int(new_labels.max(initial=0))
+    signed = np.where(label == obs, weight + conf, weight - conf)
+    take = (label == UNLABELED) | (signed <= 0.0)
+    label = np.where(take, obs, label)
+    pmap._labels[rows] = label
+    pmap._weights[rows] = np.where(take, conf, signed)
+    top = int(label.max(initial=0))
     if top >= pmap.next_label:
         pmap.next_label = top + 1

@@ -111,7 +111,9 @@ class GlobalSceneGraph:
         for key, probs in zip(pred.edge_keys, pred.edge_probs):
             if key[0] == key[1]:
                 raise ValueError("self edges are not allowed in the scene graph")
-            stored = self.edges.get(key, self._empty_edge_belief())
+            stored = self.edges.get(key)
+            if stored is None:
+                stored = self._empty_edge_belief()
             self.edges[key] = fuse_belief(stored, probs, incoming_weight, self.omega_max)
 
         vanished = [label for label in self.nodes if label not in snapshot_labels]

@@ -102,7 +102,6 @@ class PipelineConfig:
         return NetworkConfig(
             node_dim=self.node_dim,
             edge_dim=self.edge_dim,
-            geo_dim=self.node_dim,
             hidden_dim=self.hidden_dim,
             num_node_classes=self.num_node_classes,
             num_edge_classes=self.num_edge_classes,

@@ -233,28 +233,27 @@ def write_labeled_ply(
 ) -> None:
     """ASCII PLY with x/y/z plus extra integer or float columns."""
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    n = len(positions)
     props = ["property double x", "property double y", "property double z"]
-    for name, values in columns.items():
-        kind = "int" if np.issubdtype(np.asarray(values).dtype, np.integer) else "double"
-        props.append(f"property {kind} {name}")
+    cells = [map(repr, positions[:, axis].tolist()) for axis in range(3)]
+    for name, column in columns.items():
+        column = np.asarray(column)
+        if np.issubdtype(column.dtype, np.integer):
+            props.append(f"property int {name}")
+            cells.append(map(str, column.tolist()))
+        else:
+            props.append(f"property double {name}")
+            cells.append(map(repr, column.astype(np.float64).tolist()))
     header = "\n".join(
         [
             "ply",
             "format ascii 1.0",
-            f"element vertex {n}",
+            f"element vertex {len(positions)}",
             *props,
             "end_header",
         ]
     )
-    rows = []
-    col_arrays = [(np.asarray(v), np.issubdtype(np.asarray(v).dtype, np.integer)) for v in columns.values()]
-    for i in range(n):
-        cells = [_fmt(positions[i, 0]), _fmt(positions[i, 1]), _fmt(positions[i, 2])]
-        for values, is_int in col_arrays:
-            cells.append(str(int(values[i])) if is_int else _fmt(values[i]))
-        rows.append(" ".join(cells))
-    Path(path).write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else "\n"))
+    rows = [" ".join(row) for row in zip(*cells, strict=True)]
+    Path(path).write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
 def read_labeled_ply(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:

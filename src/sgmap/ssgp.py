@@ -54,12 +54,11 @@ class NetworkConfig:
     """Dimensions and mode switches for one network instantiation.
 
     The gate adds the (sigmoided) geometric feature directly onto the node
-    feature, so ``geo_dim`` must equal ``node_dim``.
+    feature, so the point encoder's output also has ``node_dim`` entries.
     """
 
     node_dim: int = 32
     edge_dim: int = 32
-    geo_dim: int = 32
     hidden_dim: int = 32
     num_node_classes: int = 4
     num_edge_classes: int = 3
@@ -68,8 +67,6 @@ class NetworkConfig:
     patch_size: int = 8
 
     def __post_init__(self):
-        if self.geo_dim != self.node_dim:
-            raise ShapeError("geo_dim must equal node_dim for the gated addition")
         if self.mode not in (SINGLE, MULTI):
             raise ValueError(f"unknown mode {self.mode!r}")
         if min(self.node_dim, self.edge_dim, self.hidden_dim) < 1:
@@ -81,18 +78,18 @@ class NetworkConfig:
 
 
 def expected_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
-    dn, de, dg, h = config.node_dim, config.edge_dim, config.geo_dim, config.hidden_dim
+    dn, de, h = config.node_dim, config.edge_dim, config.hidden_dim
     shapes: dict[str, tuple[int, ...]] = {
         "image_proj.weight": (dn, config.patch_dim),
         "point_enc.0.weight": (h, 3),
         "point_enc.0.bias": (h,),
-        "point_enc.1.weight": (dg, h),
-        "point_enc.1.bias": (dg,),
+        "point_enc.1.weight": (dn, h),
+        "point_enc.1.bias": (dn,),
         "edge_mlp.0.weight": (h, EDGE_GEOMETRY_DIM),
         "edge_mlp.0.bias": (h,),
         "edge_mlp.1.weight": (de, h),
         "edge_mlp.1.bias": (de,),
-        "gate.weight": (dn + dg,),
+        "gate.weight": (2 * dn,),
         "fan.att.0.weight": (h, dn + de),
         "fan.att.0.bias": (h,),
         "fan.att.1.weight": (dn, h),
@@ -135,12 +132,6 @@ class NetworkWeights:
     def zero_grad(self) -> None:
         for t in self.tensors.values():
             t.grad = None
-
-    def copy(self) -> "NetworkWeights":
-        return NetworkWeights(
-            config=self.config,
-            tensors={k: ad.parameter(v.value.copy()) for k, v in self.tensors.items()},
-        )
 
 
 def init_weights(config: NetworkConfig, seed: int = 0, scale: float | None = None) -> NetworkWeights:
@@ -391,7 +382,7 @@ def point_encoder(
     points: np.ndarray, point_node: np.ndarray, num_nodes: int, weights: NetworkWeights
 ) -> Tensor:
     """Shared per-point MLP over the (P, 3) points of all nodes, then a
-    componentwise max over each node's points, giving (num_nodes, geo_dim).
+    componentwise max over each node's points, giving (num_nodes, node_dim).
     ``point_node`` (P,) names the node of each point."""
     if np.any(np.bincount(point_node, minlength=num_nodes) == 0):
         raise EmptyPointSet("point encoder needs at least one point per node")

@@ -539,7 +539,7 @@ def render_reference_splat(pmap, pose, intrinsics, splat_radius):
     return ReferenceRender(
         ref_labels=ref_labels,
         ref_conf=ref_conf,
-        visible_ids=vis_ids,
+        visible_points=np.flatnonzero(visible),
         visible_rows=vis_rows,
         visible_cols=vis_cols,
     )

@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sgmap import seqio
 from sgmap.cli import main
+from sgmap.pipeline import PipelineConfig, replay_frontend
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # Golden file stem -> ``sgmap synth`` arguments.  stress-nonuniform's three
@@ -128,6 +130,31 @@ def test_point_line_order_does_not_show(tmp_path):
         assert main(["run", "--sequence", str(sequence), "--config", config, "--out", str(out)]) == 0
         outputs.append({name: (out / name).read_bytes() for name in (*RUN_FILES, "scene_graph.json")})
     assert outputs[0] == outputs[1]
+
+
+def test_mask_id_renaming_does_not_show(tmp_path):
+    """Renaming the ids of every labels mask of desk seed 7 by one bijection
+    leaves the map's points and weights as they were and renames its labels
+    one to one.  One new id is above the mask's pixel count, so the
+    consistent mask takes the sorted-key lookup.  The scene graph is not
+    compared: patch colours come from the input ids."""
+    seq, renamed = tmp_path / "seq", tmp_path / "renamed"
+    assert main(["synth", *PINS["desk_seed7"], "--out", str(seq)]) == 0
+    shutil.copytree(seq, renamed)
+    rename = np.zeros(5, dtype=np.int64)
+    rename[1:] = [40000, 7, 1, 23]
+    for path in sorted((renamed / "frames").glob("*.labels.pgm")):
+        mask = seqio.read_pgm16(path)
+        assert mask.max() < len(rename) and mask.size < 40000
+        seqio.write_pgm16(path, rename[mask])
+    config = PipelineConfig.load(seq / "config.json")
+    a, b = (replay_frontend(seqio.read_sequence(s), config).map for s in (seq, renamed))
+    np.testing.assert_array_equal(a.ids, b.ids)
+    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(a.labels == 0, b.labels == 0)
+    pairs = set(zip(a.labels.tolist(), b.labels.tolist()))
+    assert len(pairs) == len(set(a.labels.tolist())) == len(set(b.labels.tolist())) >= 4
 
 
 def test_document_comparison_tolerates_only_probabilities(golden):

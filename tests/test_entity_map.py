@@ -33,10 +33,18 @@ def make_render(ref_labels, ref_conf):
     return ReferenceRender(
         ref_labels=np.asarray(ref_labels, dtype=np.int64),
         ref_conf=np.asarray(ref_conf, dtype=np.float64),
-        visible_ids=empty,
+        visible_points=empty,
         visible_rows=empty.copy(),
         visible_cols=empty.copy(),
     )
+
+
+def row_of(pmap, point_id):
+    """Map row of one point id; ``KeyError`` names an unknown id."""
+    at = np.flatnonzero(pmap.ids == point_id)
+    if len(at) == 0:
+        raise KeyError(point_id)
+    return int(at[0])
 
 
 def set_point(pmap, point_id, label, weight):
@@ -44,7 +52,7 @@ def set_point(pmap, point_id, label, weight):
     would; ``KeyError`` names an unknown id."""
     if (label == UNLABELED) != (weight == 0.0):
         raise ValueError("label 0 must pair with weight 0 and vice versa")
-    row = int(pmap.rows_of(point_id)[0])
+    row = row_of(pmap, point_id)
     pmap.labels[row] = label
     pmap.weights[row] = weight
     pmap.next_label = max(pmap.next_label, label + 1)
@@ -62,7 +70,7 @@ def single_point_map(positions_labels_weights):
 
 def point_state(pmap, point_id):
     """(label, weight) of one map point, as attributes."""
-    row = int(pmap.rows_of(point_id)[0])
+    row = row_of(pmap, point_id)
     return SimpleNamespace(label=int(pmap.labels[row]), weight=float(pmap.weights[row]))
 
 
@@ -75,7 +83,7 @@ class TestRenderReference:
         render = render_reference(PointMap(), self.pose, self.K)
         assert not render.ref_labels.any()
         assert not render.ref_conf.any()
-        assert len(render.visible_ids) == 0
+        assert len(render.visible_points) == 0
 
     def test_single_point_splat_footprint(self):
         pmap = single_point_map([(np.zeros(3), 7, 0.9)])
@@ -113,11 +121,11 @@ class TestRenderReference:
         np.testing.assert_array_equal(render.ref_conf > 0, render.ref_labels != 0)
         assert set(np.unique(render.ref_labels)) == {0, 3, 5}
         # the unlabeled point is still tracked for fusion, and paints nothing
-        at = np.flatnonzero(render.visible_ids == 3)
+        at = np.flatnonzero(pmap.ids[render.visible_points] == 3)
         assert len(at) == 1
         assert render.ref_labels[render.visible_rows[at], render.visible_cols[at]] == 0
 
-    FIELDS = ("ref_labels", "ref_conf", "visible_ids", "visible_rows", "visible_cols")
+    FIELDS = ("ref_labels", "ref_conf", "visible_points", "visible_rows", "visible_cols")
 
     def assert_matches_splat_oracle(self, pmap, radius):
         got = render_reference(pmap, self.pose, self.K, splat_radius=radius)
@@ -282,6 +290,18 @@ class TestAssociate:
         assert res.mapping[2] == 7  # higher score claims first
         assert res.mapping[1] == 8
 
+    def test_equal_scores_prefer_lower_reference_label(self):
+        img = np.zeros((4, 8), dtype=np.int64)
+        ref = np.zeros((4, 8), dtype=np.int64)
+        img[0:2, :] = 1
+        ref[0, :] = 6  # the same coverage, count and mean confidence as 5
+        ref[1, :] = 5
+        for strategy in AssociationStrategy:
+            res = associate(img, np.ones((4, 8)), make_render(ref, np.full((4, 8), 0.5)),
+                            AssociationConfig(theta=0.2, strategy=strategy),
+                            PointMap(next_label=7))
+            assert res.mapping == {1: 5}, strategy
+
     def test_deterministic_given_identical_inputs(self):
         rng = np.random.default_rng(77)
         img, ref, conf = random_mask_pair(rng)
@@ -406,6 +426,14 @@ class TestFuse:
         assert point.label == 9
         assert point.weight == 0.7
 
+    def test_observed_label_advances_the_counter(self):
+        pmap = single_point_map([(np.zeros(3), 0, 0.0)])
+        render = render_reference(pmap, self.pose, self.K, splat_radius=0)
+        consistent = np.zeros((120, 160), dtype=np.int64)
+        consistent[60, 80] = 9
+        fuse(pmap, consistent, np.full((120, 160), 0.7), render)
+        assert pmap.next_label == 10
+
     def test_background_pixels_are_noops(self):
         point = self.run_single_point(5, 0.5, observed=0, conf_value=0.9)
         assert point.label == 5 and point.weight == 0.5
@@ -477,11 +505,8 @@ class TestPointMapIndex:
         pmap.upsert_positions([19, 2, 40], -np.arange(9.0).reshape(3, 3))
         # each call appends its new points in ascending id order
         np.testing.assert_array_equal(pmap.ids, [7, 19, 40, 2])
-        np.testing.assert_array_equal(pmap.rows_of([2, 40, 7, 19]), [3, 2, 0, 1])
         np.testing.assert_array_equal(pmap.positions[[1, 3, 2]], -np.arange(9.0).reshape(3, 3))
         np.testing.assert_array_equal(pmap.positions[0], [3.0, 4.0, 5.0])
-        with pytest.raises(KeyError):
-            pmap.rows_of([2, 8])
 
     def test_snapshot_index_is_independent(self):
         pmap = PointMap()
@@ -489,7 +514,6 @@ class TestPointMapIndex:
         snap = pmap.snapshot()
         pmap.upsert_positions([2], np.ones((1, 3)))
         assert len(snap) == 2
-        with pytest.raises(KeyError):
-            snap.rows_of([2])
+        assert 2 not in snap.ids
         set_point(snap, 1, 4, 1.0)
         assert point_state(pmap, 1).label == 0 and point_state(snap, 1).label == 4

@@ -26,7 +26,6 @@ from sgmap.graph_extract import mask_boxes
 CFG = ssgp.NetworkConfig(
     node_dim=4,
     edge_dim=4,
-    geo_dim=4,
     hidden_dim=4,
     num_node_classes=3,
     num_edge_classes=3,
@@ -623,7 +622,7 @@ class TestForward:
 
     def test_multi_mode_sigmoid_outputs(self):
         cfg = ssgp.NetworkConfig(
-            node_dim=4, edge_dim=4, geo_dim=4, hidden_dim=4,
+            node_dim=4, edge_dim=4, hidden_dim=4,
             num_node_classes=3, num_edge_classes=2, layers=1,
             mode=ssgp.MULTI, patch_size=2,
         )
@@ -634,7 +633,7 @@ class TestForward:
 
 
 MULTI_CFG = ssgp.NetworkConfig(
-    node_dim=4, edge_dim=4, geo_dim=4, hidden_dim=4,
+    node_dim=4, edge_dim=4, hidden_dim=4,
     num_node_classes=3, num_edge_classes=2, layers=2,
     mode=ssgp.MULTI, patch_size=2,
 )
@@ -709,7 +708,7 @@ class TestPerVectorOracle:
 
     def test_random_graphs_with_node_features(self):
         cfg = ssgp.NetworkConfig(
-            node_dim=6, edge_dim=5, geo_dim=6, hidden_dim=7,
+            node_dim=6, edge_dim=5, hidden_dim=7,
             num_node_classes=4, num_edge_classes=3, layers=2, patch_size=2,
         )
         for seed in range(3):
@@ -838,7 +837,7 @@ class TestLoss:
 
     def test_multi_mode_bce_gradcheck_spot(self):
         cfg = ssgp.NetworkConfig(
-            node_dim=4, edge_dim=4, geo_dim=4, hidden_dim=4,
+            node_dim=4, edge_dim=4, hidden_dim=4,
             num_node_classes=3, num_edge_classes=2, layers=1,
             mode=ssgp.MULTI, patch_size=2,
         )
@@ -976,5 +975,8 @@ class TestWeightsIO:
             ssgp.load_weights(path, CFG)
 
     def test_config_validation(self):
-        with pytest.raises(ShapeError):
-            ssgp.NetworkConfig(node_dim=4, geo_dim=8)
+        with pytest.raises(ValueError, match="unknown mode"):
+            ssgp.NetworkConfig(mode="double")
+        for dim in ("node_dim", "edge_dim", "hidden_dim"):
+            with pytest.raises(ValueError, match="dims must be positive"):
+                ssgp.NetworkConfig(**{dim: 0})
