@@ -1,13 +1,14 @@
 """Metrics for incremental entity segmentation and scene-graph prediction.
 
 Estimated segmentations are mapped back to ground-truth instances by
-nearest-neighbour voting so different segmentation front ends stay
-comparable.
+nearest-neighbour voting, so different segmentation front ends stay
+comparable.  Segmentation scores are read off one (estimated label, GT
+instance) vote table, recalls off arrays indexed by GT instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,8 +26,6 @@ class GroundTruth:
     instances: np.ndarray
     instance_classes: dict[int, int]
     triplets: list[tuple[int, int, int]]  # (subject instance, predicate, object instance)
-    node_class_names: list[str] = field(default_factory=list)
-    predicate_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -44,19 +43,37 @@ class SegmentMapping:
     point_counts: dict[int, int]
 
 
-def _nearest_instances(
-    est_points: np.ndarray, gt_points: np.ndarray, gt_instances: np.ndarray
-) -> np.ndarray:
-    tree = cKDTree(gt_points)
-    _, idx = tree.query(est_points, k=1)
-    return gt_instances[idx]
+def _vote_table(
+    est_points: np.ndarray, est_labels: np.ndarray, gt_points: np.ndarray, gt_instances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (estimated label, GT instance) pair in ascending order with its
+    number of votes: each estimated point votes for the instance of its
+    nearest GT point."""
+    est_points = np.asarray(est_points, dtype=np.float64).reshape(-1, 3)
+    est_labels = np.asarray(est_labels, dtype=np.int64).reshape(-1)
+    gt_points = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
+    gt_instances = np.asarray(gt_instances, dtype=np.int64).reshape(-1)
+    if len(est_points) == 0 or len(gt_points) == 0:
+        raise EmptyInput("overlap score needs non-empty point clouds")
+    if len(est_labels) != len(est_points) or len(gt_instances) != len(gt_points):
+        raise ValueError("every point needs one label or instance")
+    _, nearest = cKDTree(gt_points).query(est_points, k=1)
+    votes = np.stack([est_labels, gt_instances[nearest]], axis=1)
+    pairs, counts = np.unique(votes, axis=0, return_counts=True)
+    return pairs[:, 0], pairs[:, 1], counts
+
+
+def _leaders(keys: np.ndarray, others: np.ndarray, counts: np.ndarray):
+    """For every distinct key, ascending: the ``others`` value with the most
+    counts (the lower value on ties), that count and the key's total."""
+    order = np.lexsort((others, -counts, keys))
+    keys, others, counts = keys[order], others[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], others[starts], counts[starts], np.add.reduceat(counts, starts)
 
 
 def aos(
-    est_points: np.ndarray,
-    est_labels: np.ndarray,
-    gt_points: np.ndarray,
-    gt_instances: np.ndarray,
+    est_points: np.ndarray, est_labels: np.ndarray, gt_points: np.ndarray, gt_instances: np.ndarray
 ) -> float:
     """Average overlap score of an estimated segmentation.
 
@@ -64,73 +81,31 @@ def aos(
     the score is the total size of each instance's dominant estimated
     segment over the total number of estimated points, in [0, 1].
     """
-    per_instance = _dominant_counts(est_points, est_labels, gt_points, gt_instances)
-    total = sum(size for (_dom, size) in per_instance.values())
-    dominant = sum(dom for (dom, _size) in per_instance.values())
-    return dominant / total
+    labels, instances, counts = _vote_table(est_points, est_labels, gt_points, gt_instances)
+    _, _, dominant, _ = _leaders(instances, labels, counts)
+    return int(dominant.sum()) / int(counts.sum())
 
 
 def aos_summed_ratios(
-    est_points: np.ndarray,
-    est_labels: np.ndarray,
-    gt_points: np.ndarray,
-    gt_instances: np.ndarray,
+    est_points: np.ndarray, est_labels: np.ndarray, gt_points: np.ndarray, gt_instances: np.ndarray
 ) -> float:
     """Variant that sums per-instance dominant ratios (can exceed 1 when
     several instances are present); kept for comparison."""
-    per_instance = _dominant_counts(est_points, est_labels, gt_points, gt_instances)
-    return sum(dom / size for (dom, size) in per_instance.values())
-
-
-def _dominant_counts(
-    est_points: np.ndarray,
-    est_labels: np.ndarray,
-    gt_points: np.ndarray,
-    gt_instances: np.ndarray,
-) -> dict[int, tuple[int, int]]:
-    est_points = np.asarray(est_points, dtype=np.float64).reshape(-1, 3)
-    est_labels = np.asarray(est_labels, dtype=np.int64)
-    gt_points = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
-    gt_instances = np.asarray(gt_instances, dtype=np.int64)
-    if len(est_points) == 0 or len(gt_points) == 0:
-        raise EmptyInput("overlap score needs non-empty point clouds")
-    adopted = _nearest_instances(est_points, gt_points, gt_instances)
-    out: dict[int, tuple[int, int]] = {}
-    for inst in np.unique(adopted):
-        members = est_labels[adopted == inst]
-        counts = np.bincount(members)
-        out[int(inst)] = (int(counts.max()), int(len(members)))
-    return out
+    labels, instances, counts = _vote_table(est_points, est_labels, gt_points, gt_instances)
+    _, _, dominant, sizes = _leaders(instances, labels, counts)
+    return sum(dom / size for dom, size in zip(dominant.tolist(), sizes.tolist()))
 
 
 def map_segments(
-    est_points: np.ndarray,
-    est_labels: np.ndarray,
-    gt_points: np.ndarray,
-    gt_instances: np.ndarray,
+    est_points: np.ndarray, est_labels: np.ndarray, gt_points: np.ndarray, gt_instances: np.ndarray
 ) -> SegmentMapping:
     """Majority vote of per-point nearest-neighbour GT instances for every
     estimated label; vote ties resolve to the lower instance id."""
-    est_points = np.asarray(est_points, dtype=np.float64).reshape(-1, 3)
-    est_labels = np.asarray(est_labels, dtype=np.int64)
-    if len(est_points) == 0:
+    if np.asarray(est_points).size == 0:
         return SegmentMapping(mapping={}, point_counts={})
-    adopted = _nearest_instances(
-        est_points,
-        np.asarray(gt_points, dtype=np.float64).reshape(-1, 3),
-        np.asarray(gt_instances, dtype=np.int64),
-    )
-    mapping: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for label in np.unique(est_labels):
-        member_instances = adopted[est_labels == label]
-        counts[int(label)] = int(len(member_instances))
-        votes: dict[int, int] = {}
-        for inst in member_instances:
-            votes[int(inst)] = votes.get(int(inst), 0) + 1
-        best = min(votes.items(), key=lambda item: (-item[1], item[0]))
-        mapping[int(label)] = best[0]
-    return SegmentMapping(mapping=mapping, point_counts=counts)
+    table = _vote_table(est_points, est_labels, gt_points, gt_instances)
+    labels, winners, _, sizes = (column.tolist() for column in _leaders(*table))
+    return SegmentMapping(mapping=dict(zip(labels, winners)), point_counts=dict(zip(labels, sizes)))
 
 
 @dataclass(frozen=True)
@@ -146,11 +121,19 @@ def _representatives(mapping: SegmentMapping) -> dict[int, int]:
     on ties)."""
     reps: dict[int, tuple[int, int]] = {}
     for label in sorted(mapping.mapping):
-        inst = mapping.mapping[label]
-        count = mapping.point_counts.get(label, 0)
+        inst, count = mapping.mapping[label], mapping.point_counts.get(label, 0)
         if inst not in reps or count > reps[inst][0]:
             reps[inst] = (count, label)
     return {inst: label for inst, (_count, label) in reps.items()}
+
+
+def _recalls(hits: np.ndarray, classes: np.ndarray) -> tuple[float, float]:
+    """Hit fraction and mean per-class hit fraction, classes ascending; 1.0 when empty."""
+    if len(hits) == 0:
+        return 1.0, 1.0
+    _, inverse = np.unique(classes, return_inverse=True)
+    per_class = np.bincount(inverse, weights=hits) / np.bincount(inverse)
+    return int(hits.sum()) / len(hits), float(np.mean(per_class))
 
 
 def recall_suite(
@@ -168,65 +151,37 @@ def recall_suite(
     several estimated segments map to one instance, the largest represents
     it.
     """
+    table = np.array(sorted(gt.instance_classes.items()), dtype=np.int64).reshape(-1, 2)
+    instances, classes, n = table[:, 0], table[:, 1], len(table)
     reps = _representatives(mapping)
-    instances = sorted(gt.instance_classes)
+    rep_labels = [reps.get(inst) for inst in instances.tolist()]
+    node_hit = np.array([
+        label in pred.node_probs and int(np.argmax(pred.node_probs[label])) == cls
+        for label, cls in zip(rep_labels, classes.tolist())
+    ], dtype=bool)
 
-    node_hits: dict[int, bool] = {}
-    for inst in instances:
-        label = reps.get(inst)
-        if label is None or label not in pred.node_probs:
-            node_hits[inst] = False
-            continue
-        node_hits[inst] = int(np.argmax(pred.node_probs[label])) == gt.instance_classes[inst]
+    triplets = np.array(gt.triplets, dtype=np.int64).reshape(-1, 3)
+    rows = np.searchsorted(instances, triplets[:, [0, 2]])
+    pair = rows[:, 0] * n + rows[:, 1]
+    # A repeated (subject, object) pair keeps its last predicate.
+    _, from_end = np.unique(pair[::-1], return_index=True)
+    last = len(pair) - 1 - from_end
+    gt_predicate = np.full((n, n), NONE_PREDICATE, dtype=np.int64)
+    gt_predicate.flat[pair[last]] = triplets[last, 1]
+    annotated = np.zeros((n, n), dtype=bool)
+    annotated.flat[pair] = True
 
-    obj_recall = _fraction(node_hits.values())
-    obj_mrecall = _class_mean(
-        ((gt.instance_classes[inst], hit) for inst, hit in node_hits.items())
-    )
+    rep_row = {label: row for row, label in enumerate(rep_labels) if label is not None}
+    predicted = np.full((n, n), NONE_PREDICATE, dtype=np.int64)
+    for (la, lb), probs in pred.edge_probs.items():
+        if la in rep_row and lb in rep_row:
+            predicted[rep_row[la], rep_row[lb]] = np.argmax(probs)
 
-    annotated = {(s, o): p for (s, p, o) in gt.triplets}
-    if include_none:
-        universe = [
-            (a, b) for a in instances for b in instances if a != b
-        ]
-    else:
-        universe = sorted(annotated)
-
-    pred_hits: list[tuple[int, bool]] = []
-    rel_hits: list[bool] = []
-    for (a, b) in universe:
-        gt_predicate = annotated.get((a, b), NONE_PREDICATE)
-        la, lb = reps.get(a), reps.get(b)
-        if la is None or lb is None or (la, lb) not in pred.edge_probs:
-            predicted = NONE_PREDICATE
-        else:
-            predicted = int(np.argmax(pred.edge_probs[(la, lb)]))
-        edge_hit = predicted == gt_predicate
-        pred_hits.append((gt_predicate, edge_hit))
-        rel_hits.append(edge_hit and node_hits[a] and node_hits[b])
-
-    return {
-        "recall_rel": _fraction(rel_hits),
-        "recall_obj": obj_recall,
-        "recall_pred": _fraction(hit for _cls, hit in pred_hits),
-        "mrecall_obj": obj_mrecall,
-        "mrecall_pred": _class_mean(pred_hits),
-    }
-
-
-def _fraction(hits) -> float:
-    hits = list(hits)
-    if not hits:
-        return 1.0
-    return sum(hits) / len(hits)
-
-
-def _class_mean(class_hit_pairs) -> float:
-    per_class: dict[int, list[bool]] = {}
-    for cls, hit in class_hit_pairs:
-        per_class.setdefault(cls, []).append(hit)
-    if not per_class:
-        return 1.0
-    return float(
-        np.mean([sum(hits) / len(hits) for _cls, hits in sorted(per_class.items())])
-    )
+    scored = ~np.eye(n, dtype=bool) if include_none else annotated
+    edge_hit = predicted[scored] == gt_predicate[scored]
+    rel_hit = edge_hit & np.outer(node_hit, node_hit)[scored]
+    recall_obj, mrecall_obj = _recalls(node_hit, classes)
+    recall_pred, mrecall_pred = _recalls(edge_hit, gt_predicate[scored])
+    recall_rel, _ = _recalls(rel_hit, gt_predicate[scored])
+    return {"recall_rel": recall_rel, "recall_obj": recall_obj, "recall_pred": recall_pred,
+            "mrecall_obj": mrecall_obj, "mrecall_pred": mrecall_pred}

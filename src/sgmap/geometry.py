@@ -44,7 +44,7 @@ class GravityConfig:
             raise ValueError("up must be unit length within 1e-9")
         object.__setattr__(self, "up", up)
         # Deterministic right-handed horizontal basis (h1, h2) with
-        # h2 = up x h1, computed once; see :func:`horizontal_basis`.
+        # h2 = up x h1, computed once, read-only.
         axis = np.zeros(3)
         axis[int(np.argmin(np.abs(up)))] = 1.0
         h1 = axis - np.dot(axis, up) * up
@@ -140,12 +140,6 @@ def canonical_yaw(yaw: float, d0: float, d1: float) -> tuple[float, float, float
     if quarter_turns % 2 != 0:
         d0, d1 = d1, d0
     return r, d0, d1
-
-
-def horizontal_basis(gravity: GravityConfig = DEFAULT_GRAVITY) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic right-handed horizontal basis (h1, h2) with h2 = up x h1
-    (read-only arrays, computed once per :class:`GravityConfig`)."""
-    return gravity.basis
 
 
 @dataclass
@@ -257,7 +251,7 @@ def fit_obb(points: np.ndarray, gravity: GravityConfig = DEFAULT_GRAVITY) -> Obb
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(pts) < 3:
         raise DegenerateGeometry(f"box fit needs >= 3 points, got {len(pts)}")
-    h1, h2 = horizontal_basis(gravity)
+    h1, h2 = gravity.basis
     up = gravity.up
     xy = pts @ np.stack([h1, h2], axis=1)
     z = pts @ up
@@ -315,7 +309,7 @@ def obb_collide_matrix(
     centers = np.array([box.center for box in boxes]).reshape(-1, 3)
     dims = np.array([box.dims for box in boxes]).reshape(-1, 3)
     cos_sin = np.array([(math.cos(box.yaw), math.sin(box.yaw)) for box in boxes]).reshape(-1, 2)
-    h1, h2 = horizontal_basis(gravity)
+    h1, h2 = gravity.basis
 
     z = centers @ gravity.up
     reach = 0.5 * (dims[:, None, 2] + dims[None, :, 2]) + 2.0 * margin

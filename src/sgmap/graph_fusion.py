@@ -16,7 +16,6 @@ from .graph_extract import EntityNode
 from .ssgp import Prediction
 
 DEFAULT_OMEGA_MAX = 100.0
-DEFAULT_INCOMING_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
@@ -40,23 +39,21 @@ class Belief:
 def fuse_belief(
     stored: Belief,
     incoming_probs: np.ndarray,
-    incoming_weight: float = DEFAULT_INCOMING_WEIGHT,
     omega_max: float = DEFAULT_OMEGA_MAX,
 ) -> Belief:
-    """Weighted running average of the stored and incoming distributions.
+    """Weighted running average of the stored distribution and an incoming
+    one of weight 1.
 
-    probs' = (p_new * w_new + p_old * w_old) / (w_new + w_old)
-    weight' = min(omega_max, w_new + w_old)
+    probs' = (p_new + p_old * w_old) / (1 + w_old)
+    weight' = min(omega_max, 1 + w_old)
     """
     incoming = np.asarray(incoming_probs, dtype=np.float64)
     if incoming.shape != stored.probs.shape:
         raise ShapeError(
             f"belief dims differ: stored {stored.probs.shape}, incoming {incoming.shape}"
         )
-    total = incoming_weight + stored.weight
-    if total <= 0.0:
-        return Belief(probs=incoming.copy(), weight=min(omega_max, incoming_weight))
-    probs = (incoming * incoming_weight + stored.probs * stored.weight) / total
+    total = 1.0 + stored.weight
+    probs = (incoming + stored.probs * stored.weight) / total
     return Belief(probs=probs, weight=min(omega_max, total))
 
 
@@ -89,7 +86,6 @@ class GlobalSceneGraph:
         pred: Prediction,
         snapshot_labels: set[int],
         entities: dict[int, EntityNode] | None = None,
-        incoming_weight: float = DEFAULT_INCOMING_WEIGHT,
     ) -> None:
         """Fuse one snapshot prediction and prune vanished labels.
 
@@ -102,9 +98,7 @@ class GlobalSceneGraph:
             if state is None:
                 state = NodeState(belief=self._empty_node_belief())
                 self.nodes[label] = state
-            state.belief = fuse_belief(
-                state.belief, probs, incoming_weight, self.omega_max
-            )
+            state.belief = fuse_belief(state.belief, probs, self.omega_max)
             if entities is not None and label in entities:
                 state.entity = entities[label]
 
@@ -114,7 +108,7 @@ class GlobalSceneGraph:
             stored = self.edges.get(key)
             if stored is None:
                 stored = self._empty_edge_belief()
-            self.edges[key] = fuse_belief(stored, probs, incoming_weight, self.omega_max)
+            self.edges[key] = fuse_belief(stored, probs, self.omega_max)
 
         vanished = [label for label in self.nodes if label not in snapshot_labels]
         for label in vanished:

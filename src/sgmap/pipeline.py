@@ -117,10 +117,19 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(doc) - known)
+        """A config from JSON values; each must have the JSON type of its
+        field's default (an int fits a float field)."""
+        if not isinstance(doc, dict):
+            raise ValueError("config must be a JSON object")
+        defaults = cls().to_dict()
+        unknown = sorted(set(doc) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        for key, value in doc.items():
+            if not _fits(value, defaults[key]):
+                raise ValueError(
+                    f"config key {key!r} takes the JSON type of {defaults[key]!r}, not {value!r}"
+                )
         doc = dict(doc)
         if "up" in doc:
             doc["up"] = tuple(doc["up"])
@@ -131,7 +140,19 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of ``default``, element by element
+    for lists; an int fits where a float is expected."""
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    kinds = (int, float) if isinstance(default, float) else (type(default),)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 class StageTimer:
@@ -466,16 +487,12 @@ def evaluate_against_gt(
 ) -> dict:
     """Segmentation and recall metrics of one run against ground truth."""
     gt_positions, columns = seqio.read_labeled_ply(gt_points_path)
-    instance_classes, triplets, class_names, predicate_names = seqio.read_gt_graph(
-        gt_graph_path
-    )
+    instance_classes, triplets, _, _ = seqio.read_gt_graph(gt_graph_path)
     gt = GroundTruth(
         points=gt_positions,
         instances=columns["instance"],
         instance_classes=instance_classes,
         triplets=triplets,
-        node_class_names=class_names,
-        predicate_names=predicate_names,
     )
     metrics: dict[str, float] = {}
     if len(est_positions) and len(gt_positions):

@@ -206,14 +206,6 @@ def _line_of(lines: list[str], row: int) -> int:
     return [i for i, line in enumerate(lines, start=1) if line.strip()][row]
 
 
-def write_features(path, table: dict[int, np.ndarray]) -> None:
-    lines = [
-        f"{int(lbl)} " + " ".join(_fmt(v) for v in vec)
-        for lbl, vec in sorted(table.items())
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
 def read_features(path) -> dict[int, np.ndarray]:
     """Per-label feature vectors: every non-blank line holds an integer
     label and as many values as the first line has."""
@@ -267,8 +259,16 @@ def read_labeled_ply(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     for idx, line in enumerate(lines[1:], start=1):
         parts = line.split() or [""]
         if parts[0] == "element":
+            if len(parts) < 3 or not parts[2].isdigit():
+                raise SequenceFormatError(
+                    f"{path}:{idx + 1}: expected 'element NAME COUNT', got {line.strip()!r}"
+                )
             count = int(parts[2])
         elif parts[0] == "property":
+            if len(parts) < 3:
+                raise SequenceFormatError(
+                    f"{path}:{idx + 1}: expected 'property TYPE NAME', got {line.strip()!r}"
+                )
             names.append((parts[2], parts[1]))
         elif parts[0] == "end_header":
             body_start = idx + 1
@@ -448,8 +448,22 @@ def read_gt_graph(path) -> tuple[dict[int, int], list[tuple[int, int, int]], lis
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SequenceFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    instance_classes = {int(n["instance"]): int(n["class_id"]) for n in doc["nodes"]}
-    triplets = [
-        (int(e["subject"]), int(e["predicate"]), int(e["object"])) for e in doc["edges"]
-    ]
+    instance_classes = dict(_int_records(path, doc, "nodes", ("instance", "class_id")))
+    triplets = _int_records(path, doc, "edges", ("subject", "predicate", "object"))
     return instance_classes, triplets, doc.get("classes", []), doc.get("predicates", [])
+
+
+def _int_records(path, doc, key: str, fields: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """``doc[key]`` as one tuple of integer ``fields`` per list entry."""
+    entries = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise SequenceFormatError(f"{path}: expected a list under {key!r}")
+    out = []
+    for i, entry in enumerate(entries):
+        values = [entry.get(name) if isinstance(entry, dict) else None for name in fields]
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+            raise SequenceFormatError(
+                f"{path}: {key}[{i}] needs integer {', '.join(fields)}, got {entry!r}"
+            )
+        out.append(tuple(values))
+    return out

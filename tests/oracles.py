@@ -19,7 +19,6 @@ from sgmap.geometry import (
     HALF_PI,
     MIN_EXTENT,
     Obb,
-    horizontal_basis,
     project_points,
 )
 from sgmap.seqio import SequenceFormatError
@@ -111,28 +110,69 @@ def associate_loops(img, ref_labels, ref_conf, theta, strategy, next_label):
     return mapping
 
 
+def nearest_instance_loop(point, gt_points, gt_instances):
+    """The instance of the first GT point nearest to ``point``."""
+    best = None
+    best_d = None
+    for q, inst in zip(gt_points, gt_instances):
+        d = float(np.sum((np.asarray(point) - np.asarray(q)) ** 2))
+        if best_d is None or d < best_d:
+            best_d = d
+            best = int(inst)
+    return best
+
+
+def _instance_groups_loops(est_points, est_labels, gt_points, gt_instances):
+    groups = {}
+    for p, lbl in zip(est_points, est_labels):
+        best = nearest_instance_loop(p, gt_points, gt_instances)
+        groups.setdefault(best, []).append(int(lbl))
+    return groups
+
+
+def _dominant_loops(members):
+    votes = {}
+    for lbl in members:
+        votes[lbl] = votes.get(lbl, 0) + 1
+    return max(votes.values())
+
+
 def aos_loops(est_points, est_labels, gt_points, gt_instances):
     """Dominant-segment overlap score with explicit nearest-neighbour and
     counting loops."""
-    groups = {}
-    for p, lbl in zip(est_points, est_labels):
-        best = None
-        best_d = None
-        for q, inst in zip(gt_points, gt_instances):
-            d = float(np.sum((np.asarray(p) - np.asarray(q)) ** 2))
-            if best_d is None or d < best_d:
-                best_d = d
-                best = int(inst)
-        groups.setdefault(best, []).append(int(lbl))
+    groups = _instance_groups_loops(est_points, est_labels, gt_points, gt_instances)
     dominant = 0
     total = 0
     for members in groups.values():
-        votes = {}
-        for lbl in members:
-            votes[lbl] = votes.get(lbl, 0) + 1
-        dominant += max(votes.values())
+        dominant += _dominant_loops(members)
         total += len(members)
     return dominant / total
+
+
+def aos_summed_ratios_loops(est_points, est_labels, gt_points, gt_instances):
+    """Per-instance dominant ratios summed in ascending instance order."""
+    groups = _instance_groups_loops(est_points, est_labels, gt_points, gt_instances)
+    total = 0
+    for inst in sorted(groups):
+        total += _dominant_loops(groups[inst]) / len(groups[inst])
+    return total
+
+
+def map_segments_loops(est_points, est_labels, gt_points, gt_instances):
+    """Estimated label -> (majority instance, point count), counting one
+    vote per point; vote ties go to the lower instance id."""
+    votes = {}
+    for p, lbl in zip(est_points, est_labels):
+        inst = nearest_instance_loop(p, gt_points, gt_instances)
+        per_label = votes.setdefault(int(lbl), {})
+        per_label[inst] = per_label.get(inst, 0) + 1
+    mapping = {}
+    counts = {}
+    for lbl, per_label in votes.items():
+        ranked = sorted(per_label.items(), key=lambda item: (-item[1], item[0]))
+        mapping[lbl] = ranked[0][0]
+        counts[lbl] = sum(per_label.values())
+    return mapping, counts
 
 
 def recall_suite_loops(node_top1, edge_top1, reps, gt_classes, gt_triplets, include_none=True):
@@ -599,7 +639,7 @@ def fit_obb_per_angle(points, gravity):
     """Gravity-aligned box fit trying one hull edge angle at a time and
     keeping the first strictly smaller rectangle area."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    h1, h2 = horizontal_basis(gravity)
+    h1, h2 = gravity.basis
     up = gravity.up
     xy = pts @ np.stack([h1, h2], axis=1)
     z = pts @ up
@@ -632,7 +672,7 @@ def fit_obb_per_angle(points, gravity):
 def _horizontal_corners(box, margin, gravity):
     """Corners (4, 2) of the margin-inflated horizontal rectangle, in the
     horizontal basis."""
-    h1, h2 = horizontal_basis(gravity)
+    h1, h2 = gravity.basis
     c2 = np.array([np.dot(box.center, h1), np.dot(box.center, h2)])
     ca, sa = math.cos(box.yaw), math.sin(box.yaw)
     ax_u = np.array([ca, sa])
@@ -673,7 +713,7 @@ def obb_collide_pairwise(a, b, margin, gravity):
 def obb_contains(box, points, tol=1e-9, gravity=DEFAULT_GRAVITY):
     """True when every point lies inside ``box`` within ``tol`` slack."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    h1, h2 = horizontal_basis(gravity)
+    h1, h2 = gravity.basis
     rel = pts - box.center
     x = rel @ h1
     y = rel @ h2

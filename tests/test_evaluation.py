@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import aos_loops, recall_suite_loops
+from oracles import aos_loops, aos_summed_ratios_loops, map_segments_loops, recall_suite_loops
 from sgmap.errors import EmptyInput
 from sgmap.evaluation import (
     GroundTruth,
@@ -66,6 +66,25 @@ class TestAos:
         assert aos_summed_ratios(gt, labels, gt, inst) == pytest.approx(2.0)
         assert aos(gt, labels, gt, inst) == 1.0
 
+    def test_summed_ratios_match_loop_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(5, 60))
+            gt = rng.uniform(-2, 2, size=(n, 3))
+            inst = rng.choice([7, 2, 30, 5], size=n)
+            est = gt + rng.normal(scale=0.05, size=gt.shape)
+            labels = rng.choice([40, -3, 8, 1, 15], size=n)
+            got = aos_summed_ratios(est, labels, gt, inst)
+            assert got == aos_summed_ratios_loops(est, labels, gt, inst)
+
+    def test_negative_labels_are_scored(self):
+        gt = np.array([[0, 0, 0], [10, 0, 0]], dtype=float)
+        inst = np.array([1, 2])
+        est = np.array([[0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0], [9.9, 0, 0]])
+        labels = np.array([-4, -4, 6, 6])
+        assert aos(est, labels, gt, inst) == 0.75
+        assert aos(est, labels, gt, inst) == aos_loops(est, labels, gt, inst)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyInput):
             aos(np.empty((0, 3)), np.empty(0), np.ones((2, 3)), np.ones(2))
@@ -95,6 +114,35 @@ class TestMapSegments:
         mapping = map_segments(est, np.full(10, 8), gt, inst)
         assert mapping.mapping == {8: 2}
 
+    def test_matches_vote_loop_oracle(self):
+        rng = np.random.default_rng(13)
+        instance_ids = np.array([9, 3, 14, 1])
+        for trial in range(30):
+            n_gt = int(rng.integers(2, 12))
+            gt = rng.uniform(-2, 2, size=(n_gt, 3))
+            inst = rng.choice(instance_ids, size=n_gt)
+            # Points sit on GT points, so small even splits tie the vote.
+            n = int(rng.integers(1, 40))
+            est = gt[rng.integers(0, n_gt, size=n)] + rng.normal(scale=1e-6, size=(n, 3))
+            labels = rng.choice([50, 7, -2, 21, 3][: 2 + trial % 4], size=n)
+            got = map_segments(est, labels, gt, inst)
+            mapping, counts = map_segments_loops(est, labels, gt, inst)
+            assert got.mapping == mapping
+            assert got.point_counts == counts
+
+    def test_three_way_tie_goes_to_lowest_instance(self):
+        gt = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
+        inst = np.array([5, 2, 9])
+        est = gt[[0, 1, 2, 0, 2, 1]]
+        labels = np.array([4, 4, 4, 1, 1, 1])
+        got = map_segments(est, labels, gt, inst)
+        assert got.mapping == {1: 2, 4: 2}
+        assert (got.mapping, got.point_counts) == map_segments_loops(est, labels, gt, inst)
+
+    def test_empty_estimate_maps_nothing(self):
+        mapping = map_segments(np.empty((0, 3)), np.empty(0), np.ones((2, 3)), np.ones(2))
+        assert mapping == SegmentMapping(mapping={}, point_counts={})
+
 
 def build_gt():
     rng = np.random.default_rng(6)
@@ -110,8 +158,6 @@ def build_gt():
         instances=np.array(instances),
         instance_classes={1: 0, 2: 1, 3: 2},
         triplets=[(2, 1, 1), (3, 2, 1)],
-        node_class_names=["floor", "table", "box"],
-        predicate_names=["none", "standing_on", "attached_to"],
     )
 
 

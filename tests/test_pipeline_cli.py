@@ -181,6 +181,24 @@ class TestKeyframeGate:
         assert len(calls) == len(pipeline.records) + pipeline.rejected["no_box"]
 
 
+@pytest.fixture(scope="module")
+def evaluated_run(tmp_path_factory):
+    """A short desk sequence with ground truth and the outputs of its run."""
+    root = tmp_path_factory.mktemp("evaluated")
+    seq_dir, out_dir = root / "seq", root / "out"
+    synth.generate(synth.desk_scene(seed=5, frames=2), seq_dir)
+    run_sequence(seq_dir, out_dir, PipelineConfig())
+    return seq_dir, out_dir
+
+
+def copy_ground_truth(seq_dir, tmp_path):
+    gt_dir = tmp_path / "gt"
+    gt_dir.mkdir()
+    for name in ("gt_points.ply", "gt_graph.json"):
+        shutil.copy(seq_dir / name, gt_dir / name)
+    return gt_dir
+
+
 class TestCli:
     def test_synth_run_eval_round_trip(self, tmp_path, capsys):
         seq_dir = tmp_path / "seq"
@@ -308,6 +326,80 @@ class TestCli:
         assert main(["eval", "--pred", str(out_dir), "--gt", str(seq_dir)]) == 2
         err = capsys.readouterr().err
         assert f"gt_points.ply:{row + 1}: expected 'x y z " in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.pop("nodes"),
+            lambda doc: doc.pop("edges"),
+            lambda doc: doc["nodes"][1].pop("instance"),
+            lambda doc: doc["nodes"][0].pop("class_id"),
+            lambda doc: doc["edges"][0].pop("subject"),
+            lambda doc: doc["edges"][0].pop("predicate"),
+            lambda doc: doc["edges"][0].pop("object"),
+            lambda doc: doc["nodes"][0].update(class_id="1"),
+            lambda doc: doc["edges"][0].update(object=1.5),
+        ],
+        ids=["nodes", "edges", "instance", "class_id", "subject", "predicate", "object",
+             "text_value", "float_value"],
+    )
+    def test_malformed_gt_graph_exits_2_naming_file(self, evaluated_run, tmp_path, capsys, edit):
+        seq_dir, out_dir = evaluated_run
+        gt_dir = copy_ground_truth(seq_dir, tmp_path)
+        doc = json.loads((gt_dir / "gt_graph.json").read_text())
+        edit(doc)
+        (gt_dir / "gt_graph.json").write_text(json.dumps(doc))
+        assert main(["eval", "--pred", str(out_dir), "--gt", str(gt_dir)]) == 2
+        assert f"{gt_dir / 'gt_graph.json'}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            ("element vertex", "element NAME COUNT"),
+            ("element vertex many", "element NAME COUNT"),
+            ("property double", "property TYPE NAME"),
+        ],
+    )
+    def test_malformed_ply_header_exits_2_naming_line(
+        self, evaluated_run, tmp_path, capsys, line, want
+    ):
+        seq_dir, out_dir = evaluated_run
+        gt_dir = copy_ground_truth(seq_dir, tmp_path)
+        ply = gt_dir / "gt_points.ply"
+        lines = ply.read_text().split("\n")
+        row = 2 if line.startswith("element") else 3
+        assert lines[row].split()[0] == line.split()[0]
+        lines[row] = line
+        ply.write_text("\n".join(lines))
+        assert main(["eval", "--pred", str(out_dir), "--gt", str(gt_dir)]) == 2
+        assert f"{ply}:{row + 1}: expected '{want}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, want",
+        [
+            ({"theta": "x"}, "'theta'"),
+            ({"layers": 2.5}, "'layers'"),
+            ({"up": [0, 0, "z"]}, "'up'"),
+            ({"strategy": 1}, "'strategy'"),
+            ({"not_a_knob": 3}, "unknown config keys"),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_file(
+        self, desk_sequence, tmp_path, capsys, doc, want
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", "--sequence", str(desk_sequence), "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and want in err
+
+    def test_int_fits_a_float_config_field(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"theta": 1, "omega_max": 50, "up": [0, 0, 1]}))
+        config = PipelineConfig.load(path)
+        assert (config.theta, config.omega_max, config.up) == (1, 50, (0, 0, 1))
 
     def test_missing_sequence_exits_2(self, tmp_path, capsys):
         assert main(["run", "--sequence", str(tmp_path / "nope"),

@@ -17,6 +17,15 @@ from sgmap.synth import (
 )
 
 
+def write_features(path, table):
+    """A ``.feat`` file: one line per label, ``label v0 v1 ...``, repr-exact."""
+    lines = [
+        f"{int(lbl)} " + " ".join(repr(float(v)) for v in vec)
+        for lbl, vec in sorted(table.items())
+    ]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
 def one_box_scene(seed=5):
     pose = look_at_pose(np.array([0.0, -2.0, 1.0]), np.array([0.0, 0.0, 0.25]))
     return SceneSpec(
@@ -248,7 +257,7 @@ class TestSeqIo:
     def test_features_round_trip(self, tmp_path):
         table = {3: np.array([0.5, -1.25, 3.0]), 9: np.array([0.0, 0.125, -2.5])}
         path = tmp_path / "f.feat"
-        seqio.write_features(path, table)
+        write_features(path, table)
         loaded = seqio.read_features(path)
         assert set(loaded) == {3, 9}
         for key in table:
