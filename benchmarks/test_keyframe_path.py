@@ -189,6 +189,26 @@ def test_read_points(benchmark, points_file):
     benchmark(seqio.read_points, points_file)
 
 
+def test_read_points_next_frame(benchmark, points_file):
+    """The next frame read against the memory of ``points_file``: the same
+    points in another order, 6 of them moved."""
+    rng = np.random.default_rng(6)
+    ids, positions = seqio.read_points(points_file)
+    order = rng.permutation(len(ids))
+    moved = positions.copy()
+    moved[order[:TICK_CHANGE]] += 0.01
+    next_file = points_file.with_name("000001.points")
+    seqio.write_points(next_file, ids[order], moved[order])
+    memory = seqio.PointsMemory()
+    seqio.read_points(points_file, memory)
+    assert seqio.read_points(next_file, copy.copy(memory))[1].tobytes() == moved[order].tobytes()
+
+    def setup():
+        return (next_file, copy.copy(memory)), {}
+
+    benchmark.pedantic(seqio.read_points, setup=setup, rounds=200)
+
+
 def test_synth_instance_mask(benchmark):
     """One 160x120 label mask of the desk scene (seed 7), first pose."""
     spec = synth.desk_scene(seed=7)

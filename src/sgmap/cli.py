@@ -62,7 +62,7 @@ def cmd_eval(args) -> int:
         if not required.exists():
             raise SequenceFormatError(f"{required}: missing ground-truth file")
     positions, columns = seqio.read_labeled_ply(map_path)
-    doc = json.loads(graph_path.read_text())
+    doc = seqio.read_scene_graph(graph_path)
     metrics = evaluate_against_gt(
         positions, columns["label"], doc, gt_points, gt_graph,
         include_none=not args.without_none,

@@ -43,6 +43,8 @@ from .graph_extract import (
 )
 from .graph_fusion import GlobalSceneGraph
 from .ssgp import (
+    MULTI,
+    SINGLE,
     GraphInputs,
     MultiviewAccumulator,
     NetworkConfig,
@@ -118,7 +120,8 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         """A config from JSON values; each must have the JSON type of its
-        field's default (an int fits a float field)."""
+        field's default (an int fits a float field) and lie in the field's
+        range (``_RANGES``)."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         defaults = cls().to_dict()
@@ -130,6 +133,9 @@ class PipelineConfig:
                 raise ValueError(
                     f"config key {key!r} takes the JSON type of {defaults[key]!r}, not {value!r}"
                 )
+            within, rule = _RANGES.get(key, (None, None))
+            if within is not None and not within(value):
+                raise ValueError(f"config key {key!r} must be {rule}, not {value!r}")
         doc = dict(doc)
         if "up" in doc:
             doc["up"] = tuple(doc["up"])
@@ -144,6 +150,31 @@ class PipelineConfig:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+
+
+# Field -> (test, the rule it checks) for values of the right JSON type.
+_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_RANGES = {
+    "theta": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "omega_max": (lambda v: v > 0, "positive"),
+    **dict.fromkeys(("rho", "layers", "splat_radius"), _NON_NEGATIVE),
+    **dict.fromkeys(
+        ("outlier_mean_k", "backend_tick", "node_dim", "edge_dim", "hidden_dim",
+         "patch_size", "num_node_classes", "num_edge_classes"),
+        _AT_LEAST_1,
+    ),
+    "keyframe_combine": (lambda v: v in ("and", "or"), "'and' or 'or'"),
+    "mode": (lambda v: v in (SINGLE, MULTI), f"{SINGLE!r} or {MULTI!r}"),
+    "strategy": (
+        lambda v: v in {s.value for s in AssociationStrategy},
+        "one of " + ", ".join(repr(s.value) for s in AssociationStrategy),
+    ),
+    "up": (
+        lambda v: len(v) == 3 and abs(np.linalg.norm(v) - 1.0) <= 1e-9,
+        "a unit 3-vector (within 1e-9)",
+    ),
+}
 
 
 def _fits(value, default) -> bool:
@@ -377,11 +408,13 @@ class IncrementalPipeline:
 
 
 def _replay(pipeline: IncrementalPipeline, sequence: seqio.Sequence) -> IncrementalPipeline:
-    """Feed every frame of ``sequence`` to ``pipeline`` in order.  A
-    pipeline without weights computes no view features, so it does not
-    read the precomputed ones."""
+    """Feed every frame of ``sequence`` to ``pipeline`` in order.  Each
+    points file is read against the previous one, so only the lines that
+    changed are parsed.  A pipeline without weights computes no view
+    features, so it does not read the precomputed ones."""
+    memory = seqio.PointsMemory()
     for frame in sequence.frames:
-        ids, positions = frame.points()
+        ids, positions = seqio.read_points(frame.points_path, memory)
         pipeline.process_frame(
             frame.index,
             frame.pose(),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -139,17 +140,62 @@ def write_points(path, ids: np.ndarray, positions: np.ndarray) -> None:
 POINT_RECORD = np.dtype([("id", np.int64), ("p", np.float64, 3)])
 
 
-def read_points(path) -> tuple[np.ndarray, np.ndarray]:
+class PointsMemory:
+    """The last ``.points`` file read through it: each non-blank line mapped
+    to its row, and that file's ids and positions (private copies)."""
+
+    def __init__(self):
+        self.rows: dict[str, int] = {}
+        self.ids = np.empty(0, dtype=np.int64)
+        self.positions = np.empty((0, 3))
+
+
+def read_points(path, previous: PointsMemory | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Point ids (int64, parsed as integers) and (N, 3) positions.
 
     Every non-blank line must hold exactly ``id x y z`` with finite
     coordinates, and no id may repeat.
+
+    With ``previous``, only the lines that the file last read through it
+    did not hold are parsed; the others take that file's values, as the
+    same text parses to the same values.  ``previous`` then holds this file.
     """
     lines = Path(path).read_text().split("\n")
-    rows = _read_table(path, lines, POINT_RECORD, "id x y z")
-    ids, positions = np.ascontiguousarray(rows["id"]), np.ascontiguousarray(rows["p"])
+    kept = list(filter(str.strip, lines))
+    memory = PointsMemory() if previous is None else previous
+    # each line's row in the remembered file, -1 for a new line
+    if memory.rows:
+        found = np.fromiter(map(memory.rows.get, kept, repeat(-1)), np.int64, len(kept))
+    else:
+        found = np.full(len(kept), -1)
+    new = np.flatnonzero(found < 0)
+    if len(new) == len(kept):
+        ids, positions = _parse_points(path, lines)
+    else:
+        # a new line's -1 gathers a placeholder that its parse replaces
+        ids, positions = memory.ids[found], memory.positions[found]
+        if len(new):
+            try:
+                rows = np.loadtxt(
+                    [kept[i] for i in new], dtype=POINT_RECORD, comments=None, ndmin=1
+                )
+            except ValueError:
+                # Every bad line is new: parsing the whole file names the
+                # first one exactly as a read without memory does.
+                ids, positions = _parse_points(path, lines)
+            else:
+                ids[new], positions[new] = rows["id"], rows["p"]
     _reject_bad_points(path, ids, positions, lines)
+    if previous is not None:
+        previous.rows = {}  # free the old map before the new one is built
+        previous.rows = dict(zip(kept, range(len(kept))))
+        previous.ids, previous.positions = ids.copy(), positions.copy()
     return ids, positions
+
+
+def _parse_points(path, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    rows = _read_table(path, lines, POINT_RECORD, "id x y z")
+    return np.ascontiguousarray(rows["id"]), np.ascontiguousarray(rows["p"])
 
 
 def _read_table(
@@ -444,26 +490,54 @@ def write_gt_graph(
 
 
 def read_gt_graph(path) -> tuple[dict[int, int], list[tuple[int, int, int]], list[str], list[str]]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SequenceFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    instance_classes = dict(_int_records(path, doc, "nodes", ("instance", "class_id")))
-    triplets = _int_records(path, doc, "edges", ("subject", "predicate", "object"))
+    doc = _read_json(path)
+    nodes = _records(path, doc, "nodes", dict.fromkeys(("instance", "class_id"), _INT))
+    triplets = _records(path, doc, "edges", dict.fromkeys(("subject", "predicate", "object"), _INT))
+    instance_classes = dict(nodes)
     return instance_classes, triplets, doc.get("classes", []), doc.get("predicates", [])
 
 
-def _int_records(path, doc, key: str, fields: tuple[str, ...]) -> list[tuple[int, ...]]:
-    """``doc[key]`` as one tuple of integer ``fields`` per list entry."""
+def read_scene_graph(path) -> dict:
+    """A ``scene_graph.json`` as ``sgmap run`` writes it; every node needs an
+    integer ``label`` and a ``class_probs`` list of numbers, every edge
+    integer ``from`` and ``to`` and a ``pred_probs`` list of numbers."""
+    doc = _read_json(path)
+    _records(path, doc, "nodes", {"label": _INT, "class_probs": _NUMBERS})
+    _records(path, doc, "edges", {"from": _INT, "to": _INT, "pred_probs": _NUMBERS})
+    return doc
+
+
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SequenceFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, float) or _is_int(v) for v in value)
+
+
+# (test, the kind it checks) of a record field.
+_INT = (_is_int, "integer")
+_NUMBERS = (_is_numbers, "list of numbers")
+
+
+def _records(path, doc, key: str, fields: dict) -> list[tuple]:
+    """``doc[key]`` as one tuple of ``fields`` per list entry, each field's
+    value passing its test."""
     entries = doc.get(key) if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise SequenceFormatError(f"{path}: expected a list under {key!r}")
     out = []
     for i, entry in enumerate(entries):
         values = [entry.get(name) if isinstance(entry, dict) else None for name in fields]
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-            raise SequenceFormatError(
-                f"{path}: {key}[{i}] needs integer {', '.join(fields)}, got {entry!r}"
-            )
+        if not all(test(v) for v, (test, _) in zip(values, fields.values())):
+            wanted = ", ".join(f"{name} ({kind})" for name, (_, kind) in fields.items())
+            raise SequenceFormatError(f"{path}: {key}[{i}] needs {wanted}, got {entry!r}")
         out.append(tuple(values))
     return out

@@ -122,6 +122,30 @@ class TestRunSequence:
         assert len(positions) == len(labels) == len(weights)
         assert np.all(weights > 0)
 
+    def test_replay_reads_points_through_the_module_with_one_memory(
+        self, desk_sequence, small_config, monkeypatch
+    ):
+        """Each replay reads every frame through ``seqio.read_points`` (a
+        tracer that replaces it sees the reads) against one memory of its own."""
+        calls = []
+        read_points = seqio.read_points
+
+        def recording(path, previous=None):
+            calls.append((path, previous))
+            return read_points(path, previous)
+
+        monkeypatch.setattr(seqio, "read_points", recording)
+        sequence = seqio.read_sequence(desk_sequence)
+        for _ in range(2):
+            replay_frontend(sequence, small_config[0])
+        frames = [frame.points_path for frame in sequence.frames]
+        assert [path for path, _ in calls] == frames + frames
+        # the calls hold the memories, so two alive ones have distinct ids
+        first, second = ({id(memory) for _, memory in calls[part]}
+                         for part in (slice(len(frames)), slice(len(frames), None)))
+        assert len(first) == len(second) == 1 and first != second
+        assert isinstance(calls[0][1], seqio.PointsMemory)
+
 
 def gated_scene():
     """The desk scene with every pose shown twice, so that each repeat is
@@ -382,6 +406,22 @@ class TestCli:
             ({"up": [0, 0, "z"]}, "'up'"),
             ({"strategy": 1}, "'strategy'"),
             ({"not_a_knob": 3}, "unknown config keys"),
+            ({"backend_tick": 0}, "'backend_tick' must be at least 1"),
+            ({"patch_size": 0}, "'patch_size' must be at least 1"),
+            ({"layers": -1}, "'layers' must be non-negative"),
+            ({"strategy": "bogus"}, "'strategy' must be one of 'mean_confidence'"),
+            ({"up": [0, 1]}, "'up' must be a unit 3-vector"),
+            ({"up": [0, 0, 2]}, "'up' must be a unit 3-vector"),
+            ({"theta": 0}, "'theta' must be in (0, 1]"),
+            ({"theta": 1.5}, "'theta' must be in (0, 1]"),
+            ({"keyframe_combine": "xor"}, "'keyframe_combine' must be 'and' or 'or'"),
+            ({"mode": "bogus"}, "'mode' must be 'single' or 'multi'"),
+            ({"splat_radius": -1}, "'splat_radius' must be non-negative"),
+            ({"rho": -0.5}, "'rho' must be non-negative"),
+            ({"omega_max": 0}, "'omega_max' must be positive"),
+            ({"num_node_classes": 0}, "'num_node_classes' must be at least 1"),
+            ({"num_edge_classes": 0}, "'num_edge_classes' must be at least 1"),
+            ({"outlier_mean_k": 0}, "'outlier_mean_k' must be at least 1"),
         ],
     )
     def test_malformed_config_exits_2_naming_file(
@@ -394,6 +434,58 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{path}: " in err and want in err
+
+    def test_config_range_bounds_accepted(self, tmp_path):
+        doc = {"layers": 0, "theta": 1, "rho": 0, "splat_radius": 0, "outlier_mean_k": 1,
+               "backend_tick": 1, "keyframe_combine": "or", "mode": "multi",
+               "strategy": "iou", "up": [0, 0.6, 0.8]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        config = PipelineConfig.load(path)
+        assert {key: getattr(config, key) for key in doc} == {**doc, "up": (0, 0.6, 0.8)}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.pop("nodes"),
+            lambda doc: doc.pop("edges"),
+            lambda doc: doc.update(nodes={}),
+            lambda doc: doc.update(edges="none"),
+            lambda doc: doc["nodes"].append(3),
+            lambda doc: doc["nodes"][0].pop("label"),
+            lambda doc: doc["nodes"][1].update(label=1.0),
+            lambda doc: doc["nodes"][0].pop("class_probs"),
+            lambda doc: doc["nodes"][0].update(class_probs=0.5),
+            lambda doc: doc["nodes"][0].update(class_probs=["0.5", "0.5"]),
+            lambda doc: doc["edges"][0].pop("from"),
+            lambda doc: doc["edges"][0].update(to="2"),
+            lambda doc: doc["edges"][0].pop("pred_probs"),
+            lambda doc: doc["edges"][0].update(pred_probs={"0": 1.0}),
+        ],
+        ids=["nodes", "edges", "nodes_object", "edges_text", "node_not_object", "label",
+             "float_label", "class_probs", "scalar_class_probs", "text_class_probs", "from",
+             "text_to", "pred_probs", "object_pred_probs"],
+    )
+    def test_malformed_scene_graph_exits_2_naming_file(
+        self, evaluated_run, tmp_path, capsys, edit
+    ):
+        seq_dir, out_dir = evaluated_run
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        shutil.copy(out_dir / "map.ply", pred_dir / "map.ply")
+        graph = pred_dir / "scene_graph.json"
+        doc = {
+            "nodes": [{"label": 1, "class_id": 0, "class_probs": [0.75, 0.25]},
+                      {"label": 2, "class_id": 1, "class_probs": [0.25, 0.75]}],
+            "edges": [{"from": 1, "to": 2, "pred_probs": [0.5, 0.5]}],
+        }
+        graph.write_text(json.dumps(doc))
+        assert main(["eval", "--pred", str(pred_dir), "--gt", str(seq_dir)]) == 0
+        capsys.readouterr()
+        edit(doc)
+        graph.write_text(json.dumps(doc))
+        assert main(["eval", "--pred", str(pred_dir), "--gt", str(seq_dir)]) == 2
+        assert f"error: {graph}: " in capsys.readouterr().err
 
     def test_int_fits_a_float_config_field(self, tmp_path):
         path = tmp_path / "config.json"

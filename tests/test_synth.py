@@ -438,3 +438,96 @@ class TestSeqIo:
         rnodes, redges = read_dot(path)
         assert rnodes == sorted(nodes)
         assert redges == sorted(edges)
+
+
+@pytest.fixture(scope="module")
+def desk7_points(tmp_path_factory):
+    """The ``.points`` files of desk seed 7, in frame order."""
+    seq = tmp_path_factory.mktemp("desk7") / "seq"
+    synth.generate(synth.desk_scene(seed=7), seq)
+    return sorted((seq / "frames").glob("*.points"))
+
+
+def assert_same_points(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def points_error(path, memory=None) -> str:
+    with pytest.raises(seqio.SequenceFormatError) as err:
+        seqio.read_points(path, memory)
+    return str(err.value)
+
+
+class TestPointsMemory:
+    """``read_points`` with a memory of the previous file parses only the
+    lines that file did not hold, and returns what a plain read returns."""
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_frames_in_order_equal_plain_reads(self, desk7_points, tmp_path, permuted):
+        paths = desk7_points
+        if permuted:
+            rng = np.random.default_rng(11)
+            paths = []
+            for path in desk7_points:
+                lines = path.read_text().splitlines()
+                copy = tmp_path / path.name
+                copy.write_text("\n".join(rng.permutation(lines)) + "\n")
+                paths.append(copy)
+        memory = seqio.PointsMemory()
+        for path in paths:
+            assert_same_points(seqio.read_points(path, memory), seqio.read_points(path))
+        # the memory holds the last file read, one row per line
+        assert len(memory.rows) == len(memory.ids) == len(seqio.read_points(paths[-1])[0])
+
+    @pytest.mark.parametrize("order", ["reverse", "random"])
+    def test_any_frame_order(self, desk7_points, order):
+        paths = desk7_points[::-1]
+        if order == "random":
+            rng = np.random.default_rng(12)
+            paths = [desk7_points[i] for i in rng.integers(0, len(desk7_points), 30)]
+        memory = seqio.PointsMemory()
+        for path in paths:
+            assert_same_points(seqio.read_points(path, memory), seqio.read_points(path))
+
+    @pytest.mark.parametrize(
+        "bad, want",
+        [
+            ("5 0.5 0.5", "expected 'id x y z', got '5 0.5 0.5'"),
+            ("5.5 0 0 0", "expected 'id x y z', got '5.5 0 0 0'"),
+            ("5 0 nan 0", "point 5 has a non-finite coordinate"),
+        ],
+        ids=["ragged", "fractional_id", "non_finite"],
+    )
+    def test_bad_line_first_in_frame_2_names_its_line(self, tmp_path, bad, want):
+        kept = [f"{i} {i}.25 -1.5 0.125" for i in range(1, 5)]
+        frames = [kept, kept[1:] + ["9 0 0 0"], ["", *kept[2:], bad, "7 1 1 1"]]
+        paths = []
+        for index, lines in enumerate(frames):
+            paths.append(tmp_path / f"{index:06d}.points")
+            paths[-1].write_text("\n".join(lines) + "\n")
+        memory = seqio.PointsMemory()
+        for path in paths[:2]:
+            seqio.read_points(path, memory)
+        message = points_error(paths[2], memory)
+        assert message == f"{paths[2]}:4: {want}"
+        assert message == points_error(paths[2])
+
+    def test_new_line_repeating_a_kept_id(self, tmp_path):
+        first, second = tmp_path / "000000.points", tmp_path / "000001.points"
+        first.write_text("4 0 0 0\n9 1 1 1\n6 2 2 2\n")
+        second.write_text("4 0 0 0\n6 2 2 2\n\n9 1 1 1.5\n9 1 1 1\n")
+        memory = seqio.PointsMemory()
+        seqio.read_points(first, memory)
+        message = points_error(second, memory)
+        assert message == f"{second}:5: point id 9 repeats line 4"
+        assert message == points_error(second)
+
+    def test_writing_into_a_result_leaves_the_next_read(self, desk7_points):
+        memory = seqio.PointsMemory()
+        for path in (desk7_points[0], desk7_points[0], desk7_points[1]):
+            ids, positions = seqio.read_points(path, memory)
+            assert_same_points((ids, positions), seqio.read_points(path))
+            ids[:] = -1
+            positions[:] = np.nan
